@@ -27,6 +27,12 @@ again. The working set is kept compact (converged rows are physically dropped,
 not masked), so late rounds with few stragglers cost ``O(active × n)``, not
 ``O(R × n)``.
 
+That round loop is written once, in :func:`_run_lockstep`, and shared with the
+sufficient-statistic :class:`~repro.core.counts.CountEngine`: the loop owns the
+streak/lock/linger/retire state machine, the recorder hooks and the engine
+metrics, and each engine supplies only its per-round step and how retiring rows
+are written back.
+
 The batched path is exact in distribution, not bitwise identical to looping
 :class:`~repro.core.engine.SynchronousEngine` over trials: replicas consume a
 shared dynamics stream instead of per-trial streams. Trajectory- and
@@ -40,7 +46,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Sequence
+from typing import TYPE_CHECKING, Any, Callable, Sequence
 
 import numpy as np
 
@@ -53,6 +59,7 @@ from .sampling import BatchedBinomialSampler, BatchedSampler
 
 if TYPE_CHECKING:  # pragma: no cover - typing only; trace layers on core
     from ..trace.recorder import TraceRecorder
+    from .counts import CountEngine, CountPopulation
 
 __all__ = [
     "BatchedPopulation",
@@ -364,6 +371,175 @@ class BatchRunResult:
         }
 
 
+def _check_run_args(max_rounds: int, stability_rounds: int, linger_rounds: int = 0) -> None:
+    """The ``run`` argument contract shared by every engine."""
+    # Same bound and message as run_trials: a 0-round budget cannot observe
+    # anything, so it is an error rather than an instant "nothing converged".
+    if max_rounds < 1:
+        raise ValueError(f"max_rounds must be >= 1, got {max_rounds}")
+    if stability_rounds < 1:
+        raise ValueError(f"stability_rounds must be >= 1, got {stability_rounds}")
+    if linger_rounds < 0:
+        raise ValueError(f"linger_rounds must be non-negative, got {linger_rounds}")
+
+
+def _run_lockstep(
+    engine: "BatchedEngine | CountEngine",
+    population: "BatchedPopulation | CountPopulation",
+    max_rounds: int,
+    *,
+    stability_rounds: int,
+    stop_condition: Callable[[Any], np.ndarray] | None,
+    recorder: "TraceRecorder | None",
+    linger_rounds: int,
+    label: str,
+    layout: dict,
+    step: Callable[[Any, bool], np.ndarray | None],
+    retire: Callable[[np.ndarray, np.ndarray, np.ndarray, Any], None],
+    reports_flips: bool = True,
+) -> BatchRunResult:
+    """The lock-step round loop behind :meth:`BatchedEngine.run` and
+    :meth:`~repro.core.counts.CountEngine.run`.
+
+    It owns everything the two representations share: the single-shot guard,
+    argument validation, per-replica streaks and ``t_con`` accounting, the
+    lock/linger/retire state machine over a compact working set, the
+    recorder hooks, and the ``repro_engine_*`` metrics. ``population`` is the
+    engine's full batch (``(R, n)`` opinions or ``(R, S)`` counts); the
+    engine supplies only what differs:
+
+    * ``step(work, wants_flips)`` advances the working set one round in
+      place and returns its per-row flip counts when ``wants_flips``;
+    * ``retire(retired, done, keep, work)`` writes the finished working rows
+      ``work[done]`` back to replicas ``retired`` of ``population`` and
+      compacts any per-row engine state down to ``keep``;
+    * ``layout`` holds the :meth:`TraceRecorder.bind` keywords besides
+      ``replicas``; ``label`` is the ``engine`` metric label;
+    * ``reports_flips=False`` rejects recorders that ask for flip counts.
+    """
+    if engine._consumed:
+        raise RuntimeError(
+            f"{type(engine).__name__}.run is single-shot; build a fresh engine to run again"
+        )
+    engine._consumed = True
+    _check_run_args(max_rounds, stability_rounds, linger_rounds)
+    wants_flips = recorder is not None and getattr(recorder, "record_flips", False)
+    if wants_flips and not reports_flips:
+        raise ValueError(
+            f"the {label} engine cannot record flips: per-agent flip counts "
+            "are not a function of the state-count sufficient statistic; "
+            "use engine='batched' for flip recording"
+        )
+    condition = stop_condition or type(population).at_correct_consensus
+    metrics = current_registry()
+    run_start = time.perf_counter() if metrics is not None else 0.0
+
+    total = population.replicas
+    converged = np.zeros(total, dtype=bool)
+    rounds = np.zeros(total, dtype=np.int64)
+    rounds_executed = np.zeros(total, dtype=np.int64)
+
+    # Compact working set: only rows still running. ``ids`` maps working
+    # row -> replica index in the full batch.
+    ids = np.arange(total)
+    work = population.select(ids)
+
+    if recorder is not None:
+        recorder.bind(replicas=total, **layout)
+        # Full-batch value vectors; retired rows simply stop being
+        # written, which freezes them at their final values.
+        current_x = work.fraction_ones().astype(float)
+        current_flips = np.zeros(total, dtype=np.int64) if wants_flips else None
+        recorder.on_round(0, current_x, current_flips)
+
+    ok = condition(work)
+    streak = ok.astype(np.int64)
+    first_hit = np.where(ok, 0, -1)
+    # Lock/linger bookkeeping: a replica whose streak reaches the
+    # stability window is *locked* (its outcome is final) but keeps
+    # stepping for ``linger_rounds`` more rounds before it retires.
+    locked = np.zeros(total, dtype=bool)
+    locked_round = np.full(total, -1, dtype=np.int64)
+    countdown = np.zeros(total, dtype=np.int64)
+    rounds_done = 0
+
+    while True:
+        newly_locked = ~locked & (streak >= stability_rounds)
+        if newly_locked.any():
+            locked_round = np.where(newly_locked, first_hit, locked_round)
+            countdown = np.where(newly_locked, linger_rounds, countdown)
+            locked = locked | newly_locked
+        done = locked & (countdown <= 0)
+        if rounds_done >= max_rounds:
+            # Budget exhausted: unconverged replicas stop here; locked
+            # replicas mid-linger keep stepping their settle window out.
+            done = done | ~locked
+        if done.any():
+            retired = ids[done]
+            conv = locked[done]
+            converged[retired] = conv
+            rounds[retired] = np.where(conv, locked_round[done], rounds_done)
+            rounds_executed[retired] = rounds_done
+            keep = ~done
+            retire(retired, done, keep, work)
+            ids = ids[keep]
+            streak = streak[keep]
+            first_hit = first_hit[keep]
+            locked = locked[keep]
+            locked_round = locked_round[keep]
+            countdown = countdown[keep]
+            if ids.size:
+                work = work.select(keep)
+        if ids.size == 0:
+            break
+        flips = step(work, wants_flips)
+        rounds_done += 1
+        engine.round_index += 1
+        countdown = countdown - locked
+        ok = condition(work)
+        # Locked replicas stop tracking the condition: their outcome was
+        # sealed at detection (mirrors sequential settle stepping, which
+        # never re-checks).
+        tracking = ~locked
+        newly_ok = ok & (streak == 0) & tracking
+        streak = np.where(tracking, np.where(ok, streak + 1, 0), streak)
+        first_hit = np.where(
+            tracking,
+            np.where(ok, np.where(newly_ok, rounds_done, first_hit), -1),
+            first_hit,
+        )
+        if recorder is not None:
+            current_x[ids] = work.fraction_ones()
+            if wants_flips:
+                current_flips[:] = 0
+                current_flips[ids] = flips
+            recorder.on_round(rounds_done, current_x, current_flips)
+
+    population.invalidate_cache()
+    if metrics is not None:
+        metrics.counter(
+            "repro_engine_rounds_total",
+            "Lock-step synchronous rounds executed, by engine.",
+            engine=label,
+        ).inc(rounds_done)
+        metrics.counter(
+            "repro_engine_replicas_retired_total",
+            "Replicas that left the batched working set (converged, "
+            "lingered out, or budget-exhausted).",
+        ).inc(total)
+        metrics.histogram(
+            "repro_engine_run_seconds",
+            "Wall-clock seconds per engine run() call, by engine.",
+            engine=label,
+        ).observe(time.perf_counter() - run_start)
+    return BatchRunResult(
+        converged=converged,
+        rounds=rounds,
+        rounds_executed=rounds_executed,
+        final_fractions=population.fraction_ones(),
+    )
+
+
 class BatchedEngine:
     """Lock-step driver for R replicas with per-replica retirement.
 
@@ -450,162 +626,38 @@ class BatchedEngine:
         fresh engine (or use the sequential engine, whose ``run`` can be
         re-entered) to continue simulating.
         """
+        batch = self.batch
+
+        def step(work: BatchedPopulation, wants_flips: bool) -> np.ndarray | None:
+            old = work.opinions.copy() if wants_flips else None
+            work.set_opinions(self.protocol.step_batch(work, self.states, self.sampler, self.rng))
+            return np.count_nonzero(work.opinions != old, axis=1) if wants_flips else None
+
+        def retire(retired, done, keep, work: BatchedPopulation) -> None:
+            batch.opinions[retired] = work.opinions[done]
+            self.states = {key: value[keep] for key, value in self.states.items()}
+
+        prefs = batch.source_preferences[batch.source_mask]
         with span("engine.run", engine="batched"):
-            return self._run(
+            return _run_lockstep(
+                self,
+                batch,
                 max_rounds,
                 stability_rounds=stability_rounds,
                 stop_condition=stop_condition,
                 recorder=recorder,
                 linger_rounds=linger_rounds,
+                label="batched",
+                layout=dict(
+                    n=batch.n,
+                    num_sources=batch.num_sources,
+                    sources_correct=int((prefs == batch.correct_opinion).sum()),
+                    correct_opinion=batch.correct_opinion,
+                    pin_each_round=batch.pin_each_round,
+                ),
+                step=step,
+                retire=retire,
             )
-
-    def _run(
-        self,
-        max_rounds: int,
-        *,
-        stability_rounds: int,
-        stop_condition: Callable[[BatchedPopulation], np.ndarray] | None,
-        recorder: "TraceRecorder | None",
-        linger_rounds: int,
-    ) -> BatchRunResult:
-        if self._consumed:
-            raise RuntimeError(
-                "BatchedEngine.run is single-shot; build a fresh engine to run again"
-            )
-        self._consumed = True
-        # Same bound and message as run_trials: a 0-round budget cannot
-        # observe anything and previously slipped through as an instant
-        # "nothing converged" result here while the harness rejected it.
-        if max_rounds < 1:
-            raise ValueError(f"max_rounds must be >= 1, got {max_rounds}")
-        if stability_rounds < 1:
-            raise ValueError(f"stability_rounds must be >= 1, got {stability_rounds}")
-        if linger_rounds < 0:
-            raise ValueError(f"linger_rounds must be non-negative, got {linger_rounds}")
-        condition = stop_condition or BatchedPopulation.at_correct_consensus
-        metrics = current_registry()
-        run_start = time.perf_counter() if metrics is not None else 0.0
-
-        total = self.batch.replicas
-        converged = np.zeros(total, dtype=bool)
-        rounds = np.zeros(total, dtype=np.int64)
-        rounds_executed = np.zeros(total, dtype=np.int64)
-
-        # Compact working set: only rows still running. ``ids`` maps working
-        # row -> replica index in the full batch.
-        ids = np.arange(total)
-        work = self.batch.select(ids)
-        states = self.states
-
-        wants_flips = recorder is not None and getattr(recorder, "record_flips", False)
-        if recorder is not None:
-            prefs = self.batch.source_preferences[self.batch.source_mask]
-            recorder.bind(
-                replicas=total,
-                n=self.batch.n,
-                num_sources=self.batch.num_sources,
-                sources_correct=int((prefs == self.batch.correct_opinion).sum()),
-                correct_opinion=self.batch.correct_opinion,
-                pin_each_round=self.batch.pin_each_round,
-            )
-            # Full-batch value vectors; retired rows simply stop being
-            # written, which freezes them at their final values.
-            current_x = work.fraction_ones().astype(float)
-            current_flips = np.zeros(total, dtype=np.int64)
-            recorder.on_round(0, current_x, current_flips if wants_flips else None)
-
-        ok = condition(work)
-        streak = ok.astype(np.int64)
-        first_hit = np.where(ok, 0, -1)
-        # Lock/linger bookkeeping: a replica whose streak reaches the
-        # stability window is *locked* (its outcome is final) but keeps
-        # stepping for ``linger_rounds`` more rounds before it retires.
-        locked = np.zeros(total, dtype=bool)
-        locked_round = np.full(total, -1, dtype=np.int64)
-        countdown = np.zeros(total, dtype=np.int64)
-        rounds_done = 0
-
-        while True:
-            newly_locked = ~locked & (streak >= stability_rounds)
-            if newly_locked.any():
-                locked_round = np.where(newly_locked, first_hit, locked_round)
-                countdown = np.where(newly_locked, linger_rounds, countdown)
-                locked = locked | newly_locked
-            done = locked & (countdown <= 0)
-            if rounds_done >= max_rounds:
-                # Budget exhausted: unconverged replicas stop here; locked
-                # replicas mid-linger keep stepping their settle window out.
-                done = done | ~locked
-            if done.any():
-                retired = ids[done]
-                conv = locked[done]
-                converged[retired] = conv
-                rounds[retired] = np.where(conv, locked_round[done], rounds_done)
-                rounds_executed[retired] = rounds_done
-                self.batch.opinions[retired] = work.opinions[done]
-                keep = ~done
-                states = {key: value[keep] for key, value in states.items()}
-                ids = ids[keep]
-                streak = streak[keep]
-                first_hit = first_hit[keep]
-                locked = locked[keep]
-                locked_round = locked_round[keep]
-                countdown = countdown[keep]
-                if ids.size:
-                    work = work.select(keep)
-            if ids.size == 0:
-                break
-            old = work.opinions.copy() if wants_flips else None
-            new = self.protocol.step_batch(work, states, self.sampler, self.rng)
-            work.set_opinions(new)
-            rounds_done += 1
-            self.round_index += 1
-            countdown = countdown - locked
-            ok = condition(work)
-            # Locked replicas stop tracking the condition: their outcome was
-            # sealed at detection (mirrors sequential settle stepping, which
-            # never re-checks).
-            tracking = ~locked
-            newly_ok = ok & (streak == 0) & tracking
-            streak = np.where(tracking, np.where(ok, streak + 1, 0), streak)
-            first_hit = np.where(
-                tracking,
-                np.where(ok, np.where(newly_ok, rounds_done, first_hit), -1),
-                first_hit,
-            )
-            if recorder is not None:
-                current_x[ids] = work.fraction_ones()
-                if wants_flips:
-                    current_flips[:] = 0
-                    current_flips[ids] = np.count_nonzero(work.opinions != old, axis=1)
-                    recorder.on_round(rounds_done, current_x, current_flips)
-                else:
-                    recorder.on_round(rounds_done, current_x, None)
-
-        self.states = states
-        self.batch.invalidate_cache()
-        if metrics is not None:
-            metrics.counter(
-                "repro_engine_rounds_total",
-                "Lock-step synchronous rounds executed, by engine.",
-                engine="batched",
-            ).inc(rounds_done)
-            metrics.counter(
-                "repro_engine_replicas_retired_total",
-                "Replicas that left the batched working set (converged, "
-                "lingered out, or budget-exhausted).",
-            ).inc(total)
-            metrics.histogram(
-                "repro_engine_run_seconds",
-                "Wall-clock seconds per engine run() call, by engine.",
-                engine="batched",
-            ).observe(time.perf_counter() - run_start)
-        return BatchRunResult(
-            converged=converged,
-            rounds=rounds,
-            rounds_executed=rounds_executed,
-            final_fractions=self.batch.fraction_ones(),
-        )
 
 
 def run_protocol_batched(

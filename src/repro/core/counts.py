@@ -11,11 +11,13 @@ built on that observation:
   the per-state displayed opinions — enough to answer every question the
   engine contract asks (one-fractions, consensus predicates, non-source
   correct fraction) in O(S) per replica;
-* :class:`CountEngine` drives it with the exact semantics of
-  :class:`~repro.core.batch.BatchedEngine.run`: per-replica stability
-  windows, ``t_con`` accounting, retirement with a compact working set,
-  ``linger_rounds`` settle windows, and the ``recorder=`` hook emitting
-  per-round one-fractions — so traces and measures work unchanged.
+* :class:`CountEngine` drives it through the same lock-step round loop as
+  :class:`~repro.core.batch.BatchedEngine` (``_run_lockstep`` in
+  :mod:`repro.core.batch`): per-replica stability windows, ``t_con``
+  accounting, retirement with a compact working set, ``linger_rounds``
+  settle windows, and the ``recorder=`` hook emitting per-round
+  one-fractions — so traces and measures work unchanged. The engine itself
+  supplies only the count-level step and the retirement write-back.
 
 Per-round memory and compute are O(S) per replica, independent of ``n``:
 stepping draws per-state observation-count distributions multinomially
@@ -46,7 +48,7 @@ import numpy as np
 
 from ..telemetry.registry import current_registry
 from ..telemetry.spans import span
-from .batch import BatchRunResult
+from .batch import BatchRunResult, _run_lockstep
 from .protocol import Protocol
 from .rng import as_rng
 from .sampling import BatchedBinomialSampler
@@ -382,156 +384,47 @@ class CountEngine:
         engine is single-shot. Recorders asking for flip counts are rejected:
         which agents flipped is not a function of the sufficient statistic.
         """
-        with span("engine.run", engine="counts"):
-            return self._run(
-                max_rounds,
-                stability_rounds=stability_rounds,
-                stop_condition=stop_condition,
-                recorder=recorder,
-                linger_rounds=linger_rounds,
-            )
-
-    def _run(
-        self,
-        max_rounds: int,
-        *,
-        stability_rounds: int,
-        stop_condition: Callable[[CountPopulation], np.ndarray] | None,
-        recorder: "TraceRecorder | None",
-        linger_rounds: int,
-    ) -> BatchRunResult:
-        if self._consumed:
-            raise RuntimeError(
-                "CountEngine.run is single-shot; build a fresh engine to run again"
-            )
-        self._consumed = True
-        if max_rounds < 1:
-            raise ValueError(f"max_rounds must be >= 1, got {max_rounds}")
-        if stability_rounds < 1:
-            raise ValueError(f"stability_rounds must be >= 1, got {stability_rounds}")
-        if linger_rounds < 0:
-            raise ValueError(f"linger_rounds must be non-negative, got {linger_rounds}")
-        if recorder is not None and getattr(recorder, "record_flips", False):
-            raise ValueError(
-                "the counts engine cannot record flips: per-agent flip counts "
-                "are not a function of the state-count sufficient statistic; "
-                "use engine='batched' for flip recording"
-            )
-        condition = stop_condition or CountPopulation.at_correct_consensus
+        population = self.population
         metrics = current_registry()
-        run_start = time.perf_counter() if metrics is not None else 0.0
         draw_seconds = 0.0
 
-        total = self.population.replicas
-        converged = np.zeros(total, dtype=bool)
-        rounds = np.zeros(total, dtype=np.int64)
-        rounds_executed = np.zeros(total, dtype=np.int64)
-
-        # Compact working set: only rows still running. ``ids`` maps working
-        # row -> replica index in the full population.
-        ids = np.arange(total)
-        work = self.population.select(ids)
-
-        if recorder is not None:
-            recorder.bind(
-                replicas=total,
-                n=self.population.n,
-                num_sources=self.population.num_sources,
-                sources_correct=self.population.num_sources,
-                correct_opinion=self.population.correct_opinion,
-                pin_each_round=True,
-            )
-            # Full-batch value vector; retired rows simply stop being
-            # written, which freezes them at their final values.
-            current_x = work.fraction_ones().astype(float)
-            recorder.on_round(0, current_x, None)
-
-        ok = condition(work)
-        streak = ok.astype(np.int64)
-        first_hit = np.where(ok, 0, -1)
-        locked = np.zeros(total, dtype=bool)
-        locked_round = np.full(total, -1, dtype=np.int64)
-        countdown = np.zeros(total, dtype=np.int64)
-        rounds_done = 0
-
-        while True:
-            newly_locked = ~locked & (streak >= stability_rounds)
-            if newly_locked.any():
-                locked_round = np.where(newly_locked, first_hit, locked_round)
-                countdown = np.where(newly_locked, linger_rounds, countdown)
-                locked = locked | newly_locked
-            done = locked & (countdown <= 0)
-            if rounds_done >= max_rounds:
-                # Budget exhausted: unconverged replicas stop here; locked
-                # replicas mid-linger keep stepping their settle window out.
-                done = done | ~locked
-            if done.any():
-                retired = ids[done]
-                conv = locked[done]
-                converged[retired] = conv
-                rounds[retired] = np.where(conv, locked_round[done], rounds_done)
-                rounds_executed[retired] = rounds_done
-                self.population.counts[retired] = work.counts[done]
-                keep = ~done
-                ids = ids[keep]
-                streak = streak[keep]
-                first_hit = first_hit[keep]
-                locked = locked[keep]
-                locked_round = locked_round[keep]
-                countdown = countdown[keep]
-                if ids.size:
-                    work = work.select(keep)
-            if ids.size == 0:
-                break
+        def step(work: CountPopulation, wants_flips: bool) -> None:
+            nonlocal draw_seconds
             x_eff = np.asarray(self.sampler.effective_fractions(work), dtype=float)
             draw_start = time.perf_counter() if metrics is not None else 0.0
             new_counts = self.protocol.step_counts(work.counts, x_eff, self.rng)
             if metrics is not None:
                 draw_seconds += time.perf_counter() - draw_start
             work.set_counts(new_counts)
-            rounds_done += 1
-            self.round_index += 1
-            countdown = countdown - locked
-            ok = condition(work)
-            # Locked replicas stop tracking the condition: their outcome was
-            # sealed at detection (mirrors the batched engine exactly).
-            tracking = ~locked
-            newly_ok = ok & (streak == 0) & tracking
-            streak = np.where(tracking, np.where(ok, streak + 1, 0), streak)
-            first_hit = np.where(
-                tracking,
-                np.where(ok, np.where(newly_ok, rounds_done, first_hit), -1),
-                first_hit,
-            )
-            if recorder is not None:
-                current_x[ids] = work.fraction_ones()
-                recorder.on_round(rounds_done, current_x, None)
 
-        self.population.invalidate_cache()
-        if metrics is not None:
-            metrics.counter(
-                "repro_engine_rounds_total",
-                "Lock-step synchronous rounds executed, by engine.",
-                engine="counts",
-            ).inc(rounds_done)
-            metrics.counter(
-                "repro_engine_replicas_retired_total",
-                "Replicas that left the batched working set (converged, "
-                "lingered out, or budget-exhausted).",
-            ).inc(total)
-            metrics.histogram(
-                "repro_engine_run_seconds",
-                "Wall-clock seconds per engine run() call, by engine.",
-                engine="counts",
-            ).observe(time.perf_counter() - run_start)
-            metrics.histogram(
-                "repro_counts_draw_seconds",
-                "Wall-clock seconds spent in count-level multinomial "
-                "transitions (step_counts) per counts-engine run.",
-            ).observe(draw_seconds)
-        return BatchRunResult(
-            converged=converged,
-            rounds=rounds,
-            rounds_executed=rounds_executed,
-            final_fractions=self.population.fraction_ones(),
-        )
+        def retire(retired, done, keep, work: CountPopulation) -> None:
+            population.counts[retired] = work.counts[done]
+
+        with span("engine.run", engine="counts"):
+            result = _run_lockstep(
+                self,
+                population,
+                max_rounds,
+                stability_rounds=stability_rounds,
+                stop_condition=stop_condition,
+                recorder=recorder,
+                linger_rounds=linger_rounds,
+                label="counts",
+                layout=dict(
+                    n=population.n,
+                    num_sources=population.num_sources,
+                    sources_correct=population.num_sources,
+                    correct_opinion=population.correct_opinion,
+                    pin_each_round=True,
+                ),
+                step=step,
+                retire=retire,
+                reports_flips=False,
+            )
+            if metrics is not None:
+                metrics.histogram(
+                    "repro_counts_draw_seconds",
+                    "Wall-clock seconds spent in count-level multinomial "
+                    "transitions (step_counts) per counts-engine run.",
+                ).observe(draw_seconds)
+            return result

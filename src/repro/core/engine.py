@@ -23,6 +23,7 @@ import numpy as np
 
 from ..telemetry.registry import current_registry
 from ..telemetry.spans import span
+from .batch import _check_run_args
 from .population import PopulationState
 from .protocol import Protocol, ProtocolState
 from .records import RoundRecord, RunResult
@@ -133,10 +134,7 @@ class SynchronousEngine:
         stop_condition: Callable[[PopulationState], bool] | None,
         recorder: "TraceRecorder | None",
     ) -> RunResult:
-        if max_rounds < 0:
-            raise ValueError(f"max_rounds must be non-negative, got {max_rounds}")
-        if stability_rounds < 1:
-            raise ValueError(f"stability_rounds must be >= 1, got {stability_rounds}")
+        _check_run_args(max_rounds, stability_rounds)
         condition = stop_condition or PopulationState.at_correct_consensus
         metrics = current_registry()
         run_start = time.perf_counter() if metrics is not None else 0.0

@@ -348,7 +348,10 @@ def _sparse_binomial_rows(
             np.maximum(u, _TINY, out=u)  # log(0) guard, < 1 ulp of distortion
             np.log(u, out=u)
             if lq != 0.0:
-                u /= lq
+                # Overflows to inf when q is denormal-tiny; the clamp below
+                # maps that to "no further draws", so the warning is noise.
+                with np.errstate(over="ignore"):
+                    u /= lq
             u += 1.0
             # Any gap beyond the line is equivalent to "no further draws";
             # clamping keeps the int64 cast finite when q is denormal-tiny
@@ -375,7 +378,8 @@ def _sparse_binomial_rows(
             u = rng.random((active.size, cap))
             np.maximum(u, _TINY, out=u)  # log(0) guard, < 1 ulp of distortion
             np.log(u, out=u)
-            u /= log1m_q[active, None]
+            with np.errstate(over="ignore"):  # inf is clamped two lines down
+                u /= log1m_q[active, None]
             u += 1.0
             # Same finite-cast/progress clamp as the lock-step path: a gap
             # past the lane end means "no further draws in this lane".

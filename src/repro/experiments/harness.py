@@ -10,13 +10,14 @@ scalar/batched observation models. Everything above it speaks
   :meth:`RunSpec.execute`: resolves the spec's declarative components
   (with optional live-object overrides), picks the engine, and runs the
   batch of trials;
-* :func:`make_batched_engine` — the core behind
-  :meth:`RunSpec.batched_engine`: a fully prepared lock-step engine for
-  trace/θ consumers;
+* :func:`make_batched_engine` / :func:`make_count_engine` — the cores
+  behind :meth:`RunSpec.batched_engine` / :meth:`RunSpec.count_engine`:
+  fully prepared lock-step engines, which :func:`execute_run` runs and
+  trace/θ consumers drive directly;
 * :func:`run_trials` — the legacy factory-kwargs signature, kept working
   as a thin adapter over :meth:`RunSpec.execute`.
 
-Two execution engines are available (``engine`` policy):
+Execution engines (``engine`` policy):
 
 * ``"sequential"`` — one :class:`SynchronousEngine` per trial, each on its own
   spawned RNG stream.
@@ -59,7 +60,7 @@ from ..core.population import PopulationState, make_population
 from ..core.protocol import Protocol, ProtocolState
 from ..core.records import RunResult
 from ..core.rng import spawn_rngs
-from ..core.sampling import BatchedBinomialSampler, BatchedSampler, Sampler
+from ..core.sampling import BatchedSampler, Sampler
 from ..initializers.standard import Initializer
 from ..stats.summary import TimesSummary, describe_times, wilson_interval
 from ..trace import FullTrace
@@ -268,30 +269,22 @@ def execute_run(
             times=np.empty(0, dtype=float),
             engine=idle_engine,
         )
-    if spec.engine == "counts":
-        return _run_trials_counts(
-            probe if probe is not None else protocol_factory(),
-            spec,
-            initializer,
-            batched_sampler=batched_sampler,
-            max_rounds=max_rounds,
-            keep_results=keep_results,
-        )
-    if use_batched:
-        return _run_trials_batched(
-            probe if probe is not None else protocol_factory(),
-            spec.n,
-            initializer,
-            trials=spec.trials,
-            max_rounds=max_rounds,
-            seed=spec.seed,
-            correct_opinion=spec.correct_opinion,
-            num_sources=spec.num_sources,
-            batched_sampler=batched_sampler,
-            population_factory=population_factory,
-            stability_rounds=spec.stability_rounds,
-            linger_rounds=spec.linger_rounds,
-            keep_results=keep_results,
+    if spec.engine == "counts" or use_batched:
+        protocol = probe if probe is not None else protocol_factory()
+        if spec.engine == "counts":
+            engine = make_count_engine(
+                spec, protocol=protocol, initializer=initializer, sampler=batched_sampler
+            )
+        else:
+            engine = make_batched_engine(
+                spec,
+                protocol=protocol,
+                initializer=initializer,
+                batched_sampler=batched_sampler,
+                population_factory=population_factory,
+            )
+        return _run_lockstep_trials(
+            engine, spec, initializer, max_rounds=max_rounds, keep_results=keep_results
         )
     rngs = spawn_rngs(spec.seed, spec.trials)
     times: list[int] = []
@@ -434,67 +427,6 @@ def make_batched_engine(
     return BatchedEngine(protocol, batch, sampler=batched_sampler, rng=rng, states=states)
 
 
-def _run_trials_batched(
-    protocol: Protocol,
-    n: int,
-    initializer: Initializer,
-    *,
-    trials: int,
-    max_rounds: int,
-    seed: int,
-    correct_opinion: int,
-    num_sources: int,
-    batched_sampler: BatchedSampler | None,
-    population_factory: Callable[[], PopulationState] | None,
-    stability_rounds: int,
-    linger_rounds: int,
-    keep_results: bool,
-) -> TrialStats:
-    """All trials as one ``(R, n)`` system on the batched engine.
-
-    ``keep_results`` attaches a :class:`~repro.trace.FullTrace` recorder to
-    the run and converts the recorded trajectory matrix back into per-trial
-    :class:`RunResult` objects, so trajectory consumers get the batched
-    speedup too.
-    """
-    batch, batch_states, batch_rng = prepare_batch(
-        protocol,
-        n,
-        initializer,
-        trials=trials,
-        seed=seed,
-        correct_opinion=correct_opinion,
-        num_sources=num_sources,
-        population_factory=population_factory,
-    )
-    engine = BatchedEngine(
-        protocol,
-        batch,
-        sampler=batched_sampler if batched_sampler is not None else BatchedBinomialSampler(),
-        rng=batch_rng,
-        states=batch_states,
-    )
-    recorder = FullTrace() if keep_results else None
-    result = engine.run(
-        max_rounds,
-        stability_rounds=stability_rounds,
-        recorder=recorder,
-        linger_rounds=linger_rounds,
-    )
-    results = recorder.trace().to_run_results(result) if recorder is not None else []
-    return TrialStats(
-        protocol_name=protocol.name,
-        initializer_name=initializer.name,
-        n=n,
-        trials=trials,
-        max_rounds=max_rounds,
-        successes=result.successes,
-        times=result.times(),
-        results=results,
-        engine="batched",
-    )
-
-
 def prepare_counts(
     protocol: Protocol,
     n: int,
@@ -569,26 +501,22 @@ def make_count_engine(
     return CountEngine(protocol, population, sampler=sampler, rng=rng)
 
 
-def _run_trials_counts(
-    protocol: Protocol,
+def _run_lockstep_trials(
+    engine: BatchedEngine | CountEngine,
     spec: RunSpec,
     initializer: Initializer,
     *,
-    batched_sampler: BatchedSampler | None,
     max_rounds: int,
     keep_results: bool,
 ) -> TrialStats:
-    """All trials as one ``(R, S)`` count matrix on the sufficient-statistic
-    engine.
+    """All trials of ``spec`` as one run of a prepared lock-step engine
+    (batched ``(R, n)`` or counts ``(R, S)``).
 
-    ``keep_results`` works the same way as on the batched path: a
-    :class:`~repro.trace.FullTrace` recorder captures the per-round
-    one-fraction matrix and is converted back into per-trial
-    :class:`RunResult` objects.
+    ``keep_results`` attaches a :class:`~repro.trace.FullTrace` recorder to
+    the run and converts the recorded trajectory matrix back into per-trial
+    :class:`RunResult` objects, so trajectory consumers get the lock-step
+    speedup too.
     """
-    engine = make_count_engine(
-        spec, protocol=protocol, initializer=initializer, sampler=batched_sampler
-    )
     recorder = FullTrace() if keep_results else None
     result = engine.run(
         max_rounds,
@@ -598,7 +526,7 @@ def _run_trials_counts(
     )
     results = recorder.trace().to_run_results(result) if recorder is not None else []
     return TrialStats(
-        protocol_name=protocol.name,
+        protocol_name=engine.protocol.name,
         initializer_name=initializer.name,
         n=spec.n,
         trials=spec.trials,
@@ -606,5 +534,5 @@ def _run_trials_counts(
         successes=result.successes,
         times=result.times(),
         results=results,
-        engine="counts",
+        engine="counts" if isinstance(engine, CountEngine) else "batched",
     )

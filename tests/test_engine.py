@@ -110,9 +110,11 @@ class TestRun:
         assert result.rounds == 0
 
     def test_zero_max_rounds(self):
+        # Same run-argument contract as the lock-step engines: a 0-round
+        # budget cannot observe anything, so it is rejected up front.
         pop = make_population(10, 1)
-        result = run_protocol(ConstantProtocol(1), pop, 0, rng=0, stability_rounds=1)
-        assert not result.converged  # no stability evidence gathered
+        with pytest.raises(ValueError, match="max_rounds must be >= 1, got 0"):
+            run_protocol(ConstantProtocol(1), pop, 0, rng=0, stability_rounds=1)
 
     def test_negative_max_rounds_rejected(self):
         pop = make_population(10, 1)

@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 from repro.core.batch import BatchedEngine, BatchedPopulation
+from repro.core.counts import CountEngine, make_count_population
 from repro.core.engine import SynchronousEngine
 from repro.core.population import make_population
 from repro.core.protocol import Protocol
@@ -35,10 +36,15 @@ from repro.trace import (
 
 
 class GrowOneProtocol(Protocol):
-    """Deterministic: one more agent adopts 1 each round (staggered retire)."""
+    """Deterministic: one more agent adopts 1 each round (staggered retire).
+
+    The count model has two states (state ``s`` displays opinion ``s``); each
+    round moves one non-source agent of every replica from state 0 to 1.
+    """
 
     name = "grow-one"
     batch_vectorized = True
+    counts_supported = True
 
     def init_state(self, n, rng):
         return {}
@@ -57,6 +63,31 @@ class GrowOneProtocol(Protocol):
             if zeros.size:
                 row[zeros[0]] = 1
         return new
+
+    def count_states(self):
+        return 2
+
+    def count_display(self):
+        return np.array([0, 1], dtype=np.uint8)
+
+    def count_init_state_pmf(self):
+        return np.eye(2)
+
+    def count_random_state_pmf(self):
+        return np.eye(2)
+
+    def step_counts(self, counts, x_eff, rng):
+        moved = (counts[:, 0] > 0).astype(np.int64)
+        return counts + np.stack([-moved, moved], axis=1)
+
+
+def _grow_one_engine(engine, n, replicas):
+    """A grow-one engine of either lock-step kind, every replica at one source."""
+    protocol = GrowOneProtocol()
+    if engine == "counts":
+        return CountEngine(protocol, make_count_population(protocol, replicas, n), rng=0)
+    batch = BatchedPopulation.from_population(make_population(n, 1), replicas)
+    return BatchedEngine(protocol, batch, rng=0)
 
 
 def _staggered_engine(n=8, replicas=5):
@@ -166,15 +197,14 @@ class TestEngineRecording:
         assert np.array_equal(trace.x[0], result.trajectory)
         assert np.array_equal(trace.flips[0, 1:], result.flips)
 
-    def test_linger_keeps_stepping_after_lock(self):
+    @pytest.mark.parametrize("engine_kind", ["batched", "counts"])
+    def test_linger_keeps_stepping_after_lock(self, engine_kind):
         # grow-one, stop at x >= 1/2 (round 3 from one source), linger 2:
         # convergence accounting locks at round 3 but rounds 4 and 5 still
         # execute, so the trace keeps rising through the linger window.
         n = 8
-        pop = make_population(n, 1)
-        batch = BatchedPopulation.from_population(pop, 2)
         recorder = FullTrace()
-        engine = BatchedEngine(GrowOneProtocol(), batch, rng=0)
+        engine = _grow_one_engine(engine_kind, n, 2)
         result = engine.run(
             100,
             stability_rounds=1,
@@ -190,13 +220,11 @@ class TestEngineRecording:
         level = window_mean_after(trace.x, trace.rounds, result.rounds, 2)
         assert level[0] == pytest.approx((5 / 8 + 6 / 8) / 2)
 
-    def test_linger_may_exceed_max_rounds(self):
+    @pytest.mark.parametrize("engine_kind", ["batched", "counts"])
+    def test_linger_may_exceed_max_rounds(self, engine_kind):
         # Lock lands on the final budgeted round; the settle window runs past
         # max_rounds exactly like sequential settle stepping does.
-        n = 8
-        pop = make_population(n, 1)
-        batch = BatchedPopulation.from_population(pop, 1)
-        engine = BatchedEngine(GrowOneProtocol(), batch, rng=0)
+        engine = _grow_one_engine(engine_kind, 8, 1)
         result = engine.run(
             3,
             stability_rounds=1,
@@ -207,9 +235,9 @@ class TestEngineRecording:
         assert result.rounds[0] == 3
         assert result.rounds_executed[0] == 7
 
-    def test_rejects_negative_linger(self):
-        pop = make_population(8, 1)
-        engine = BatchedEngine(GrowOneProtocol(), BatchedPopulation.from_population(pop, 1), rng=0)
+    @pytest.mark.parametrize("engine_kind", ["batched", "counts"])
+    def test_rejects_negative_linger(self, engine_kind):
+        engine = _grow_one_engine(engine_kind, 8, 1)
         with pytest.raises(ValueError):
             engine.run(10, linger_rounds=-1)
 

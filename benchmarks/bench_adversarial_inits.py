@@ -70,7 +70,6 @@ def _impossibility_cell() -> RunSpec:
         trials=5,
         max_rounds=200,
         seed=99,
-        engine="sequential",
     )
     validate_cell(cell)
     return cell

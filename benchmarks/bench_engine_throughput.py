@@ -1,10 +1,12 @@
-"""E-throughput — sequential vs batched engine throughput.
+"""E-throughput — per-trial vs batched lock-step throughput.
 
 Not a paper artifact: this benchmark tracks the *simulation machinery* itself,
-so the performance trajectory of the engines is measured from the PR that
-introduced the batched path onward. It times ``run_trials`` end to end
-(initialization included) for FET on both engines across population sizes and
-the two canonical workloads:
+so the performance trajectory of the engine is measured from the change that
+introduced the batched path onward. For FET across population sizes and the
+two canonical workloads it times, initialization included, ``trials`` runs
+two ways on the one lock-step engine: a per-trial loop of ``run_protocol``
+calls (one replica each) and one ``R = trials`` batched ``run_trials`` call.
+The workloads:
 
 * ``all-wrong`` — the dissemination start; trials converge in a handful of
   rounds, so per-trial setup and the near-consensus rounds dominate;
@@ -20,10 +22,11 @@ the sparse tier against the scalar-p inversion path that served those rows
 before it existed.
 
 Emits ``results/BENCH_engine.json`` with seconds, rounds/sec, trials/sec and
-the batched-over-sequential speedup per (n, workload) cell, plus the sparse
+the batched-over-per-trial speedup per (n, workload) cell, plus the sparse
 draw-tier comparison. The headline cell (n=1000, trials=500, random start)
-is expected to hold a ≥5× speedup; every all-wrong batched cell must hold
-≥2× end to end and the sparse tier ≥2× on near-consensus draws.
+is expected to hold a ≥5× speedup. Every batched cell must beat the
+per-trial loop, by ≥2× end to end at n ≤ 1000; the sparse tier must hold ≥2×
+on near-consensus draws.
 
 Run directly (``PYTHONPATH=src python benchmarks/bench_engine_throughput.py``)
 or through pytest-benchmark.
@@ -32,13 +35,17 @@ or through pytest-benchmark.
 from __future__ import annotations
 
 import json
+import os
+import platform
 import sys
 import time
 
 import numpy as np
 
 from bench_common import banner, results_path, run_once
-from repro.core.rng import make_rng
+from repro.core.batch import run_protocol
+from repro.core.population import make_population
+from repro.core.rng import make_rng, spawn_rngs
 from repro.core.sampling import batched_binomial_counts
 from repro.experiments.harness import TrialStats, run_trials
 from repro.initializers.standard import AllWrong, BernoulliRandom, Initializer
@@ -53,13 +60,6 @@ SEED = 20260729
 #: timing repetitions per cell; min-of-k filters scheduler noise and warm-up
 REPEATS = 3
 
-#: Batched speedups recorded by the previous revision of this benchmark
-#: (after the sparse draw tier, before FET's fused single-comparison
-#: ``step_batch``), kept so the JSON and the gate can state the improvement
-#: explicitly.
-PREVIOUS_BATCHED_SPEEDUP = {(100, "all-wrong"): 8.96, (1000, "all-wrong"): 3.05,
-                            (10000, "all-wrong"): 3.35}
-
 
 def _executed_rounds(stats: TrialStats) -> int:
     """Total synchronous replica-rounds a run actually simulated.
@@ -67,7 +67,7 @@ def _executed_rounds(stats: TrialStats) -> int:
     A converged trial steps until its stability window closes:
     ``max(rounds + stability - 1, stability - 1)`` rounds with the default
     window of 2; a failed trial runs the full budget. Identical accounting on
-    both engines, so rounds/sec is comparable.
+    both paths, so rounds/sec is comparable.
     """
     executed = 0.0
     executed += float((stats.times + 1.0).sum())  # stability_rounds=2
@@ -75,23 +75,50 @@ def _executed_rounds(stats: TrialStats) -> int:
     return int(executed)
 
 
+def _per_trial(n: int, trials: int, initializer: Initializer) -> TrialStats:
+    """``trials`` one-replica ``run_protocol`` calls, each initialized and
+    stepped on its own spawned stream."""
+    ell = ell_for(n)
+    times = []
+    for rng in spawn_rngs(SEED, trials):
+        protocol = FETProtocol(ell)
+        population = make_population(n, 1)
+        state = protocol.init_state(n, rng)
+        initializer(population, protocol, state, rng)
+        result = run_protocol(protocol, population, MAX_ROUNDS, rng=rng, state=state)
+        if result.converged:
+            times.append(result.rounds)
+    return TrialStats(
+        protocol_name=protocol.name,
+        initializer_name=initializer.name,
+        n=n,
+        trials=trials,
+        max_rounds=MAX_ROUNDS,
+        successes=len(times),
+        times=np.asarray(times, dtype=float),
+    )
+
+
 def run_cell(n: int, trials: int, initializer: Initializer) -> list[dict]:
     ell = ell_for(n)
     rows = []
     timings = {}
-    for engine in ("sequential", "batched"):
+    for engine in ("per-trial", "batched"):
         seconds = float("inf")
         for _ in range(REPEATS):
             start = time.perf_counter()
-            stats = run_trials(
-                lambda: FETProtocol(ell),
-                n,
-                initializer,
-                trials=trials,
-                max_rounds=MAX_ROUNDS,
-                seed=SEED,
-                engine=engine,
-            )
+            if engine == "per-trial":
+                stats = _per_trial(n, trials, initializer)
+            else:
+                stats = run_trials(
+                    lambda: FETProtocol(ell),
+                    n,
+                    initializer,
+                    trials=trials,
+                    max_rounds=MAX_ROUNDS,
+                    seed=SEED,
+                    engine=engine,
+                )
             seconds = min(seconds, time.perf_counter() - start)
         timings[engine] = seconds
         rounds = _executed_rounds(stats)
@@ -109,7 +136,7 @@ def run_cell(n: int, trials: int, initializer: Initializer) -> list[dict]:
                 "trials_per_sec": round(trials / seconds, 1),
             }
         )
-    speedup = timings["sequential"] / timings["batched"]
+    speedup = timings["per-trial"] / timings["batched"]
     for row in rows:
         row["speedup"] = round(speedup, 2) if row["engine"] == "batched" else 1.0
     return rows
@@ -155,20 +182,22 @@ def run_benchmark() -> dict:
     for n, trials in CELLS:
         for initializer in (AllWrong(), BernoulliRandom(0.5)):
             all_rows.extend(run_cell(n, trials, initializer))
-    for row in all_rows:
-        previous = PREVIOUS_BATCHED_SPEEDUP.get((row["n"], row["init"]))
-        if previous is not None and row["engine"] == "batched":
-            row["previous_speedup"] = previous
     sparse_rows = [
         run_sparse_tier_cell(1000, 500),
         run_sparse_tier_cell(10000, 100),
     ]
-    return {"cells": all_rows, "sparse_tier": sparse_rows}
+    machine = {
+        "cpu_count": os.cpu_count(),
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+        "machine": platform.machine(),
+    }
+    return {"machine": machine, "cells": all_rows, "sparse_tier": sparse_rows}
 
 
 def report(payload: dict) -> None:
     all_rows = payload["cells"]
-    print(banner("Engine throughput — sequential vs batched (FET)"))
+    print(banner("Engine throughput — per-trial vs batched (FET)"))
     table = [
         [
             row["n"],
@@ -225,11 +254,15 @@ def test_engine_throughput(benchmark):
     # benchmark stays green on slower/noisier machines while still catching a
     # regression that erases the batched advantage.
     assert headline and headline[0]["speedup"] >= 2.0
-    # Since the sparse draw tier, every all-wrong batched cell holds >= 2x
-    # end to end (measured ~3-3.4x at n >= 1000, up from ~2.5x before it).
+    # Both columns run the same lock-step engine and sampler, so the speedup
+    # is what batching itself amortizes: per-trial setup and per-round Python
+    # overhead. That dominates at n <= 1000 (measured 3-31x), so those cells
+    # must hold >= 2x. At n = 1e4 a replica-round is mostly numpy work that
+    # batching cannot share (measured 1.3-1.85x), so there the batched cell
+    # must only never lose to the per-trial loop.
     for row in all_rows:
-        if row["engine"] == "batched" and row["init"] == "all-wrong":
-            assert row["speedup"] >= 2.0, row
+        if row["engine"] == "batched":
+            assert row["speedup"] >= (2.0 if row["n"] <= 1000 else 1.0), row
     # The tier itself must beat the scalar-p inversion path it replaced by
     # >= 2x on near-consensus draws (measured ~3x; floor leaves CI headroom).
     for row in payload["sparse_tier"]:

@@ -13,10 +13,11 @@ import numpy as np
 
 from bench_common import banner, results_path, run_once
 from repro.analysis.markov import ExactPairChain
-from repro.core.engine import SynchronousEngine
+from repro.core.batch import BatchedEngine, BatchedPopulation
 from repro.core.population import make_population
-from repro.core.rng import spawn_rngs
+from repro.core.rng import make_rng
 from repro.protocols.fet import FETProtocol
+from repro.trace import FullTrace
 from repro.viz.csv_out import write_rows
 from repro.viz.tables import format_table
 
@@ -25,23 +26,20 @@ TRIALS = 400
 
 
 def _simulate_mean_absorption(n: int, ell: int, trials: int, seed: int) -> float:
-    total = 0.0
-    for rng in spawn_rngs(seed, trials):
-        proto = FETProtocol(ell)
-        pop = make_population(n, 1)
-        state = {"prev_count": rng.binomial(ell, 1 / n, size=n).astype(np.int64)}
-        engine = SynchronousEngine(proto, pop, rng=rng, state=state)
-        rounds = 0
-        prev_ones = pop.at_correct_consensus()
-        while rounds < 5000:
-            engine.step()
-            rounds += 1
-            now_ones = pop.at_correct_consensus()
-            if prev_ones and now_ones:
-                break
-            prev_ones = now_ones
-        total += rounds
-    return total / trials
+    """Mean rounds until two consecutive all-ones rounds, over ``trials``
+    replicas run as one lock-step batch and read off the recorded trace."""
+    budget = 5000
+    rng = make_rng(seed)
+    batch = BatchedPopulation.from_population(make_population(n, 1), trials)
+    # All-wrong with counters matching x_{t-1} = 1/n: the (1, 1) chain state.
+    states = {"prev_count": rng.binomial(ell, 1 / n, size=(trials, n)).astype(np.int64)}
+    recorder = FullTrace()
+    engine = BatchedEngine(FETProtocol(ell), batch, rng=rng, states=states)
+    engine.run(budget, recorder=recorder)
+    x = recorder.trace().x
+    absorbed = (x[:, :-1] == 1.0) & (x[:, 1:] == 1.0)
+    rounds = np.where(absorbed.any(axis=1), absorbed.argmax(axis=1) + 1, budget)
+    return float(rounds.mean())
 
 
 def test_exact_chain_vs_simulation(benchmark):

@@ -19,7 +19,7 @@ from __future__ import annotations
 import numpy as np
 
 from bench_common import banner, results_path, run_once
-from repro.core.engine import run_protocol
+from repro.core.batch import run_protocol
 from repro.core.population import make_majority_population, make_population
 from repro.core.rng import make_rng
 from repro.initializers.adversarial import FrozenUnanimity

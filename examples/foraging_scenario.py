@@ -22,8 +22,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro import FETProtocol, MajoritySamplingProtocol, ell_for, make_population
-from repro.core import SynchronousEngine, make_rng
+from repro import FETProtocol, MajoritySamplingProtocol, ell_for, make_population, run_protocol
+from repro.core import make_rng
 from repro.initializers import AllWrong
 from repro.viz import render_trajectory
 
@@ -37,13 +37,14 @@ def morning(title: str, protocol, rounds: int, seed: int):
     state = protocol.init_state(N_ANIMALS, rng)
     AllWrong()(group, protocol, state, rng)  # everyone starts on the west side
 
-    engine = SynchronousEngine(protocol, group, rng=rng, state=state)
-    result = engine.run(rounds)
+    # run_protocol leaves the group's final sides and memories in place,
+    # so a later morning can pick up where this one stopped.
+    result = run_protocol(protocol, group, rounds, rng=rng, state=state)
     east_share = group.opinions.mean()
     print(f"\n--- {title} ---")
     print(f"after {len(result.trajectory) - 1} scans: {east_share:.1%} forage east "
           f"({'converged' if result.converged else 'not converged'})")
-    return engine, result
+    return group, state, rng, result
 
 
 def main() -> None:
@@ -61,23 +62,18 @@ def main() -> None:
     # Trend followers: compare today's scan with yesterday's and move with
     # the emerging trend (FET). The knowledgeable animal seeds a drift that
     # the trend rule amplifies.
-    engine, result = morning(
-        "trend followers (FET)",
-        FETProtocol(ell_for(N_ANIMALS)),
-        rounds=2000,
-        seed=2,
-    )
+    fet = FETProtocol(ell_for(N_ANIMALS))
+    group, state, rng, result = morning("trend followers (FET)", fet, rounds=2000, seed=2)
     print(render_trajectory(result.trajectory, height=12))
 
     # The environment changes: now the WEST side is better. The knowledgeable
     # animal switches sides; nobody announces anything — self-stabilization
     # means the group re-converges from its current (now wrong) consensus.
     print("\n--- the environment changes: west becomes preferable ---")
-    group = engine.population
     group.source_preferences[group.source_mask] = WEST
     group.correct_opinion = WEST
     group.pin_sources()
-    adapt = engine.run(2000)
+    adapt = run_protocol(fet, group, 2000, rng=rng, state=state)
     west_share = 1 - group.opinions.mean()
     print(f"after {len(adapt.trajectory) - 1} more scans: {west_share:.1%} forage west "
           f"({'re-converged' if adapt.converged else 'not converged'})")

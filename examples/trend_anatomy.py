@@ -16,16 +16,16 @@ import math
 
 from repro import DomainPartition, FETProtocol, drift_g, ell_for
 from repro.analysis import cyan_dwell_bound, yellow_dwell_bound
-from repro.experiments import run_annotated
+from repro.experiments import run_annotated_batch
 from repro.initializers import AllWrong, ZeroSpeedCenter
 from repro.viz import format_table, render_domain_map
 
 
 def dissect(title: str, initializer, n: int, seed: int) -> None:
     ell = ell_for(n)
-    annotated = run_annotated(
-        FETProtocol(ell), n, initializer, max_rounds=20_000, seed=seed
-    )
+    annotated = run_annotated_batch(
+        FETProtocol(ell), n, initializer, 1, max_rounds=20_000, seed=seed
+    )[0]
     result = annotated.result
     print(f"\n=== {title} (n={n}, ell={ell}) ===")
     print(f"converged in {result.rounds} rounds "

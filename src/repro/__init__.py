@@ -58,12 +58,12 @@ from .analysis import (
     theorem1_bound,
 )
 from .core import (
+    BatchedIndexSampler,
     BinomialCountSampler,
     IndexSampler,
     PopulationState,
     Protocol,
     RunResult,
-    SynchronousEngine,
     make_majority_population,
     make_population,
     make_rng,
@@ -87,6 +87,7 @@ __version__ = "1.6.0"
 
 __all__ = [
     "BatchTrace",
+    "BatchedIndexSampler",
     "BinomialCountSampler",
     "ClockSyncProtocol",
     "Domain",
@@ -107,7 +108,6 @@ __all__ = [
     "SimpleTrendProtocol",
     "SweepResult",
     "SweepSpec",
-    "SynchronousEngine",
     "TraceRecorder",
     "UndecidedStateProtocol",
     "VoterProtocol",

@@ -42,8 +42,8 @@ from pathlib import Path
 from typing import Sequence
 
 from .analysis.domains import DomainPartition
-from .config import RunSpec
-from .core.engine import run_protocol
+from .config import ENGINES, RunSpec
+from .core.batch import run_protocol
 from .core.population import make_population
 from .core.rng import make_rng
 from .experiments.convergence import default_round_budget, fit_scaling, sweep_population_sizes
@@ -450,12 +450,12 @@ def build_parser() -> argparse.ArgumentParser:
     compare.add_argument("--trials", type=int, default=5, help="trials per protocol (default 5)")
     compare.add_argument(
         "--engine",
-        choices=["auto", "batched", "sequential", "counts"],
+        choices=list(ENGINES),
         default="auto",
         help=(
-            "trial execution engine (default auto: batched when the protocol "
-            "supports it; counts runs the sufficient-statistic engine and "
-            "skips protocols without a count model)"
+            "trial execution engine (default auto, the batched engine; counts "
+            "runs the sufficient-statistic engine and skips protocols without "
+            "a count model)"
         ),
     )
 

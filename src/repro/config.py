@@ -56,6 +56,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from .trace.recorder import TraceRecorder
 
 __all__ = [
+    "ENGINES",
     "RUN_SCHEMA",
     "RunSpec",
     "canonical_json",
@@ -66,7 +67,13 @@ __all__ = [
 #: Bumped when the run-spec schema changes incompatibly, so stale store
 #: entries miss instead of deserializing into the wrong shape. (Additive,
 #: default-elided fields do NOT bump it — see the hash-compatibility note.)
-RUN_SCHEMA = 1
+#: Schema 2: ``engine="auto"`` cells with the index sampler run on the
+#: batched engine (schema 1 ran them per trial), so the same key would
+#: otherwise name results computed on different streams.
+RUN_SCHEMA = 2
+
+#: The engine policies a run spec (and a sweep spec) accepts.
+ENGINES = ("auto", "batched", "counts")
 
 
 def canonical_json(obj: Any) -> str:
@@ -141,10 +148,11 @@ class RunSpec:
     stability_rounds:
         Consecutive all-correct rounds required for convergence.
     engine:
-        ``"auto"`` (batched when the protocol and observation component
-        support it), ``"batched"``, ``"sequential"``, or ``"counts"`` (the
-        sufficient-statistic engine — explicit opt-in, never auto-selected;
-        requires count-capable protocol/initializer/sampler components).
+        ``"auto"`` or ``"batched"`` (the per-agent lock-step engine; the two
+        are the same policy, ``"auto"`` being the default spelling), or
+        ``"counts"`` (the sufficient-statistic engine — explicit opt-in,
+        never auto-selected; requires count-capable
+        protocol/initializer/sampler components).
     measure:
         Measurement descriptor; kinds live in the sweep runner's registry.
     sampler:
@@ -158,9 +166,8 @@ class RunSpec:
     correct_opinion:
         The bit the population must converge on.
     linger_rounds:
-        Batched-engine settle window: converged replicas keep stepping this
-        many rounds before retiring (trace consumers; ignored by the
-        sequential engine, which steps on explicitly).
+        Lock-step settle window: converged replicas keep stepping this many
+        rounds before retiring (trace consumers).
     population:
         Population-layout component ``{"name": ..., params}`` (population
         registry), or ``None`` for the standard source-pinned layout built
@@ -199,11 +206,8 @@ class RunSpec:
             raise ValueError(f"stability_rounds must be >= 1, got {self.stability_rounds}")
         if self.linger_rounds < 0:
             raise ValueError(f"linger_rounds must be >= 0, got {self.linger_rounds}")
-        if self.engine not in ("auto", "batched", "sequential", "counts"):
-            raise ValueError(
-                f"engine must be 'auto', 'batched', 'sequential' or 'counts', "
-                f"got {self.engine!r}"
-            )
+        if self.engine not in ENGINES:
+            raise ValueError(f"engine must be one of {ENGINES}, got {self.engine!r}")
         if not 0.0 <= self.noise <= 0.5:
             raise ValueError(f"noise levels must be in [0, 1/2], got {self.noise}")
         if self.correct_opinion not in (0, 1):
@@ -335,17 +339,14 @@ class RunSpec:
             correct_opinion=self.correct_opinion,
         )
 
-    def samplers(self) -> tuple[Callable[[], "Sampler"] | None, "BatchedSampler | None"]:
+    def samplers(self) -> tuple[Callable[[], "Sampler"], "BatchedSampler"]:
         """The paired (scalar factory, batched) observation components.
 
         Resolution: an explicit ``sampler`` component wins; otherwise
-        ``noise`` > 0 selects the noisy pair and ``noise`` = 0 the engine
-        defaults (``None`` scalar factory means "engine default"). Pairing
-        happens in the sampler registry, so a declared component can never
-        reach the batched engine without its batched counterpart — a
-        registry entry without one (e.g. the literal index sampler) returns
-        ``None`` for the batched side, which :meth:`use_batched` treats as
-        "sequential only".
+        ``noise`` > 0 selects the noisy pair and ``noise`` = 0 the exact
+        binomial pair. Pairing happens in the sampler registry, so a
+        declared component can never reach an engine without its batched
+        counterpart.
         """
         from .sweep.registry import build_samplers
 
@@ -353,22 +354,7 @@ class RunSpec:
             return build_samplers(self.sampler)
         if self.noise > 0.0:
             return build_samplers({"name": "noisy", "epsilon": self.noise})
-        from .core.sampling import BatchedBinomialSampler
-
-        return None, BatchedBinomialSampler()
-
-    def use_batched(self, protocol: "Protocol") -> bool:
-        """Engine resolution for a live protocol instance.
-
-        ``"counts"`` reports ``False`` here: the sufficient-statistic engine
-        is neither per-agent path, and its consumers dispatch on
-        ``engine == "counts"`` explicitly before asking this question.
-        """
-        if self.engine in ("sequential", "counts"):
-            return False
-        if self.engine == "batched":
-            return True
-        return protocol.batch_vectorized and self.samplers()[1] is not None
+        return build_samplers({"name": "binomial"})
 
     # ------------------------------------------------------------- execution
 
@@ -378,7 +364,6 @@ class RunSpec:
         keep_results: bool = False,
         protocol_factory: Callable[[], "Protocol"] | None = None,
         initializer: "Initializer | None" = None,
-        sampler_factory: Callable[[], "Sampler"] | None = None,
         batched_sampler: "BatchedSampler | None" = None,
         population_factory: Callable[[], "PopulationState"] | None = None,
     ) -> "TrialStats":
@@ -388,8 +373,8 @@ class RunSpec:
         (:func:`~repro.experiments.harness.run_trials`) and for components
         with no declarative form (crafted populations, scripted samplers);
         each override replaces the corresponding declared component. All
-        execution — engine choice, sampler pairing, per-trial vs. lock-step
-        stepping — happens in the harness core behind this method.
+        execution — engine choice, sampler pairing, lock-step stepping —
+        happens in the harness core behind this method.
         """
         from .experiments.harness import execute_run
 
@@ -398,7 +383,6 @@ class RunSpec:
             keep_results=keep_results,
             protocol_factory=protocol_factory,
             initializer=initializer,
-            sampler_factory=sampler_factory,
             batched_sampler=batched_sampler,
             population_factory=population_factory,
         )

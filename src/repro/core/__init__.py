@@ -13,8 +13,8 @@ configuration*. Two layers keep it fast:
    through ``x_t``, R replicas advance in lock-step as a single ``(R, n)``
    matrix (:mod:`repro.core.batch`): per-replica one-fractions key one
    :class:`BatchedBinomialSampler` call per round, vectorized protocols
-   (``Protocol.batch_vectorized``) step every replica with a handful of numpy
-   ops, and converged replicas retire from a compacted working set so finished
+   (those overriding ``Protocol.step_batch``) step every replica with a
+   handful of numpy ops, and converged replicas retire from a compacted working set so finished
    trials stop costing work. The sampler tiers its draw strategy by where
    each replica's ``x`` sits (deterministic fills at consensus, geometric-gap
    sparse placement near consensus, numpy's scalar-p generator near the
@@ -28,10 +28,11 @@ per-agent plurality vote vectorizes as one flat bincount over (replica,
 agent, clock) keys. Identity draws have no count-level sufficient statistic,
 so that protocol's batched win is uniformity (no per-replica Python
 fallback, trace/retirement integration), not a draw-cost reduction.
-Per-round trajectory and flip logs are served on *both* engines by the trace
-subsystem (:mod:`repro.trace`): a recorder hooks the round loop and keeps
-per-replica curves across retirement, so trajectory-shaped consumers ride
-the batched path too.
+Per-round trajectory and flip logs are served by the trace subsystem
+(:mod:`repro.trace`): a recorder hooks the round loop and keeps per-replica
+curves across retirement, so trajectory-shaped consumers ride the batched
+path too. A single trial (:func:`run_protocol`) is the one-replica case of
+the same loop.
 
 A third layer sits above both: one ``(R, n)`` batch saturates a single core,
 so **sweep cells** — independent (protocol, n, noise, initializer) grid
@@ -45,17 +46,18 @@ from .batch import (
     BatchedEngine,
     BatchedPopulation,
     BatchRunResult,
+    run_protocol,
     run_protocol_batched,
     stack_states,
 )
-from .engine import SynchronousEngine, run_protocol
 from .noise import BatchedNoisyCountSampler, NoisyCountSampler, noisy_fraction
 from .population import PopulationState, make_majority_population, make_population
 from .protocol import Protocol, ProtocolState
-from .records import RoundRecord, RunResult
+from .records import RunResult
 from .rng import as_rng, derive_rng, make_rng, spawn_rngs
 from .sampling import (
     BatchedBinomialSampler,
+    BatchedIndexSampler,
     BatchedSampler,
     BinomialCountSampler,
     IndexSampler,
@@ -67,6 +69,7 @@ __all__ = [
     "BatchRunResult",
     "BatchedBinomialSampler",
     "BatchedEngine",
+    "BatchedIndexSampler",
     "BatchedNoisyCountSampler",
     "BatchedPopulation",
     "BatchedSampler",
@@ -76,10 +79,8 @@ __all__ = [
     "PopulationState",
     "Protocol",
     "ProtocolState",
-    "RoundRecord",
     "RunResult",
     "Sampler",
-    "SynchronousEngine",
     "as_rng",
     "batched_binomial_counts",
     "derive_rng",

@@ -14,28 +14,28 @@ therefore advance in lock-step as one matrix-shaped system:
   :class:`~repro.core.sampling.BatchedSampler` call keyed on the ``(R,)``
   vector of per-replica one-fractions;
 * per-agent protocol state is stacked the same way (leading replica axis), and
-  vectorized protocols (``Protocol.batch_vectorized``) step every replica with
-  a handful of numpy calls.
+  vectorized protocols (those overriding ``Protocol.step_batch``) step every
+  replica with a handful of numpy calls.
 
-:class:`BatchedEngine` drives the batch with the exact semantics of
-:class:`~repro.core.engine.SynchronousEngine.run`: per-replica stability-window
-tracking, the same convergence-round accounting (``t_con`` = first round of
-the final all-correct streak), and *retirement* — a replica whose streak
-reaches the stability window is removed from the active working set, so
-finished trials stop costing work and their state provably never changes
-again. The working set is kept compact (converged rows are physically dropped,
-not masked), so late rounds with few stragglers cost ``O(active × n)``, not
-``O(R × n)``.
+:class:`BatchedEngine` drives the batch in synchronous rounds:
+per-replica stability-window tracking, convergence-round accounting
+(``t_con`` = first round of the final all-correct streak), and *retirement* —
+a replica whose streak reaches the stability window is removed from the
+active working set, so finished trials stop costing work and their state
+provably never changes again. The working set is kept compact (converged rows
+are physically dropped, not masked), so late rounds with few stragglers cost
+``O(active × n)``, not ``O(R × n)``.
 
 That round loop is written once, in :func:`_run_lockstep`, and shared with the
 sufficient-statistic :class:`~repro.core.counts.CountEngine`: the loop owns the
 streak/lock/linger/retire state machine, the recorder hooks and the engine
 metrics, and each engine supplies only its per-round step and how retiring rows
-are written back.
+are written back. A single trial is the one-replica case:
+:func:`run_protocol` runs it on the same loop and returns a per-trial
+:class:`~repro.core.records.RunResult`.
 
-The batched path is exact in distribution, not bitwise identical to looping
-:class:`~repro.core.engine.SynchronousEngine` over trials: replicas consume a
-shared dynamics stream instead of per-trial streams. Trajectory- and
+Replicas share one dynamics stream, so R trials in one batch are exact in
+distribution, not bitwise identical, to R one-replica runs. Trajectory- and
 flip-recording consumers attach a :class:`~repro.trace.recorder.TraceRecorder`
 (``run(recorder=...)``): the engine reports the full ``(R,)`` one-fraction
 (and optionally flip-count) vector every round, with retired rows frozen at
@@ -54,6 +54,7 @@ from ..telemetry.registry import current_registry
 from ..telemetry.spans import span
 from .population import PopulationState
 from .protocol import Protocol, ProtocolState
+from .records import RunResult
 from .rng import as_rng
 from .sampling import BatchedBinomialSampler, BatchedSampler
 
@@ -65,6 +66,7 @@ __all__ = [
     "BatchedPopulation",
     "BatchRunResult",
     "BatchedEngine",
+    "run_protocol",
     "run_protocol_batched",
     "stack_states",
 ]
@@ -337,8 +339,8 @@ class BatchRunResult:
         the stability window before ``max_rounds``.
     rounds:
         ``(R,)`` int — the replica's ``t_con`` (first round of the final
-        streak) when converged, else the number of rounds executed; exactly
-        :attr:`RunResult.rounds` of the sequential engine, per replica.
+        streak) when converged, else the number of rounds executed; the
+        per-replica :attr:`RunResult.rounds`.
     rounds_executed:
         ``(R,)`` int — synchronous rounds actually simulated for the replica
         (its retirement round, or ``max_rounds``). Throughput accounting.
@@ -498,8 +500,8 @@ def _run_lockstep(
         countdown = countdown - locked
         ok = condition(work)
         # Locked replicas stop tracking the condition: their outcome was
-        # sealed at detection (mirrors sequential settle stepping, which
-        # never re-checks).
+        # sealed at detection (a settle window steps on without
+        # re-checking).
         tracking = ~locked
         newly_ok = ok & (streak == 0) & tracking
         streak = np.where(tracking, np.where(ok, streak + 1, 0), streak)
@@ -585,8 +587,8 @@ class BatchedEngine:
         self.states = states
         self.round_index = 0
         self._consumed = False
-        # Mirror SynchronousEngine: pin once up-front so a sloppy caller cannot
-        # start with a deviating source opinion in any replica.
+        # Pin once up-front so a sloppy caller cannot start with a deviating
+        # source opinion in any replica.
         if batch.pin_each_round:
             batch.pin_sources()
 
@@ -614,17 +616,15 @@ class BatchedEngine:
         ``linger_rounds`` keeps a replica running that many extra rounds
         after its convergence is detected before retiring it — convergence
         accounting (``converged``/``rounds``) is locked at detection and not
-        revisited. This is the settle-window hook: the sequential θ measure
-        keeps stepping an engine after its stop condition fired, and linger
-        reproduces that per replica under retirement (the extra rounds are
-        allowed to run past ``max_rounds``, exactly as sequential settle
-        stepping does).
+        revisited. This is the settle-window hook: the θ measure keeps
+        stepping each replica after its stop condition fired, and linger
+        does that per replica under retirement (the extra rounds are allowed
+        to run past ``max_rounds``).
 
         Single-shot: retirement compacts the protocol state down to the
         replicas that were still running, so a second ``run`` on the same
         engine has no coherent state to resume from and is rejected. Build a
-        fresh engine (or use the sequential engine, whose ``run`` can be
-        re-entered) to continue simulating.
+        fresh engine to continue simulating.
         """
         batch = self.batch
 
@@ -676,3 +676,47 @@ def run_protocol_batched(
     batch = BatchedPopulation.from_population(population, replicas)
     engine = BatchedEngine(protocol, batch, sampler=sampler, rng=rng, states=states)
     return engine.run(max_rounds, stability_rounds=stability_rounds, recorder=recorder)
+
+
+def run_protocol(
+    protocol: Protocol,
+    population: PopulationState,
+    max_rounds: int,
+    *,
+    sampler: BatchedSampler | None = None,
+    rng: int | np.random.Generator | None = None,
+    state: ProtocolState | None = None,
+    stability_rounds: int = 2,
+    record_flips: bool = False,
+) -> RunResult:
+    """Run one trial until convergence or ``max_rounds``.
+
+    The single-run front door: a one-replica :class:`BatchedEngine` run with
+    a :class:`~repro.trace.recorder.FullTrace` recorder, returned as a
+    per-trial :class:`RunResult` (trajectory from round 0, per-round flip
+    counts when ``record_flips``). ``state`` defaults to a fresh
+    ``protocol.init_state`` draw on ``rng``; ``sampler`` is a batched
+    observation model (default :class:`BatchedBinomialSampler`). Afterwards
+    ``population`` holds the final opinions and ``state`` the final internal
+    state, so a caller can keep stepping the scalar rule from there.
+    """
+    from ..trace.recorder import FullTrace  # trace layers on core
+
+    if sampler is not None and not isinstance(sampler, BatchedSampler):
+        raise TypeError(
+            f"run_protocol needs a BatchedSampler, got {type(sampler).__name__}; "
+            "wrap scalar models in their batched side (e.g. BatchedIndexSampler)"
+        )
+    rng = as_rng(rng)
+    if state is None:
+        state = protocol.init_state(population.n, rng)
+    states = stack_states([state])
+    batch = BatchedPopulation.from_population(population, 1)
+    engine = BatchedEngine(protocol, batch, sampler=sampler, rng=rng, states=states)
+    recorder = FullTrace(record_flips=record_flips)
+    outcome = engine.run(max_rounds, stability_rounds=stability_rounds, recorder=recorder)
+    # ``states`` holds the final round: retirement rebinds ``engine.states``
+    # to a compacted copy and leaves this dict as the last step left it.
+    state.update({key: value[0] for key, value in states.items()})
+    population.set_opinions(batch.opinions[0].copy())
+    return recorder.trace().to_run_results(outcome)[0]

@@ -336,7 +336,7 @@ class CountEngine:
         if not getattr(protocol, "counts_supported", False):
             raise ValueError(
                 f"protocol {protocol.name!r} does not support the counts engine "
-                "(counts_supported=False); use the batched or sequential engine"
+                "(counts_supported=False); use the batched engine"
             )
         if sampler is None:
             sampler = BatchedBinomialSampler()

@@ -17,6 +17,12 @@ Two interchangeable samplers are provided:
   counts ones among them. Slower, but supports ``exclude_self`` (sampling "ℓ
   *other* agents") and non-passive protocols that need to read sampled agents'
   message vectors. Tests verify it agrees in distribution with the fast path.
+
+Every run steps a batch of replicas, so each observation model also has a
+:class:`BatchedSampler` side: :class:`BatchedBinomialSampler` (one tiered
+draw keyed on the per-replica one-fractions) and :class:`BatchedIndexSampler`
+(literal per-replica index draws). ``BatchedSampler.scalar()`` returns the
+matching single-population sampler.
 """
 
 from __future__ import annotations
@@ -39,6 +45,7 @@ __all__ = [
     "IndexSampler",
     "BatchedSampler",
     "BatchedBinomialSampler",
+    "BatchedIndexSampler",
     "batched_binomial_counts",
 ]
 
@@ -605,3 +612,30 @@ class BatchedBinomialSampler(BatchedSampler):
 
     def scalar(self) -> Sampler:
         return BinomialCountSampler()
+
+
+class BatchedIndexSampler(BatchedSampler):
+    """Literal index-level sampler over a batch.
+
+    Each replica draws explicit agent indices within its own row, exactly as
+    :class:`IndexSampler` does for one population (``exclude_self``
+    included); a one-replica batch consumes the same stream as the scalar
+    sampler. Index draws have no per-replica sufficient statistic, so rows
+    are drawn one at a time: this is the literal reference model, not a fast
+    path. It is not keyed on one-fractions, so the counts engine rejects it.
+    """
+
+    def __init__(self, exclude_self: bool = False) -> None:
+        self.exclude_self = exclude_self
+
+    def counts(
+        self,
+        batch: "BatchedPopulation",
+        ell: int,
+        rng: np.random.Generator,
+    ) -> np.ndarray:
+        scalar = self.scalar()
+        return np.stack([scalar.counts(batch.replica(r), ell, rng) for r in range(batch.replicas)])
+
+    def scalar(self) -> IndexSampler:
+        return IndexSampler(exclude_self=self.exclude_self)

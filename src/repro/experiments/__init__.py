@@ -17,7 +17,7 @@ from .harness import (
 )
 from .multisource import SourceRow, sweep_sources
 from .robustness import NoiseRow, sweep_noise
-from .trajectories import AnnotatedRun, run_annotated, run_annotated_batch
+from .trajectories import AnnotatedRun, run_annotated_batch
 from .transitions import TransitionSummary, collect_transitions
 from .worst_case import WorstCaseResult, search_worst_start
 
@@ -36,7 +36,6 @@ __all__ = [
     "fit_scaling",
     "make_batched_engine",
     "prepare_batch",
-    "run_annotated",
     "run_annotated_batch",
     "run_changing_environment",
     "run_trials",

@@ -21,9 +21,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..core.engine import SynchronousEngine
+from ..core.batch import BatchedPopulation
 from ..core.population import make_population
 from ..core.rng import as_rng
+from ..core.sampling import BatchedBinomialSampler
 from ..protocols.fet import FETProtocol
 
 __all__ = ["AdaptivityResult", "run_changing_environment"]
@@ -68,6 +69,8 @@ def run_changing_environment(
     preference (and the population's ``correct_opinion``), then runs
     ``period`` rounds, recording when the population first fully matches the
     new correct opinion and how many rounds of the cycle were spent correct.
+    The rounds are FET's batched step on a one-replica batch: the engine's
+    stop-and-retire loop has no notion of a target that moves mid-run.
     """
     if period < 1:
         raise ValueError(f"period must be >= 1, got {period}")
@@ -75,10 +78,10 @@ def run_changing_environment(
         raise ValueError(f"flips must be >= 1, got {flips}")
     rng = as_rng(seed)
     protocol = FETProtocol(ell)
-    population = make_population(n, correct_opinion=1)
-    population.set_opinions(np.ones(n, dtype=np.uint8))
-    state = {"prev_count": np.full(n, ell, dtype=np.int64)}
-    engine = SynchronousEngine(protocol, population, rng=rng, state=state)
+    population = BatchedPopulation.from_population(make_population(n, correct_opinion=1), 1)
+    population.set_opinions(np.ones((1, n), dtype=np.uint8))
+    states = {"prev_count": np.full((1, n), ell, dtype=np.int64)}
+    sampler = BatchedBinomialSampler()
 
     result = AdaptivityResult(n=n, period=period, flips=flips)
     correct_rounds = 0
@@ -91,9 +94,9 @@ def run_changing_environment(
 
         lag = None
         for t in range(period):
-            engine.step()
+            population.set_opinions(protocol.step_batch(population, states, sampler, rng))
             total_rounds += 1
-            if population.at_correct_consensus():
+            if population.at_correct_consensus()[0]:
                 correct_rounds += 1
                 if lag is None:
                     lag = t + 1

@@ -19,30 +19,27 @@ scalar/batched observation models. Everything above it speaks
 
 Execution engines (``engine`` policy):
 
-* ``"sequential"`` — one :class:`SynchronousEngine` per trial, each on its own
-  spawned RNG stream.
-* ``"batched"`` — all trials as one ``(R, n)`` system on the
-  :class:`~repro.core.batch.BatchedEngine`: initial configurations are built
-  per trial on the *same* spawned streams as the sequential path (so the
-  initial-condition distribution is bitwise identical), then all replicas
-  advance in lock-step and retire individually on convergence. Statistically
-  equivalent, several times faster for many-trial sweeps. Per-trial
+* ``"auto"`` (default) and ``"batched"`` — all trials as one ``(R, n)``
+  system on the :class:`~repro.core.batch.BatchedEngine`: initial
+  configurations are built (vectorized, or per trial on spawned streams for
+  crafted layouts), then all replicas advance in lock-step and retire
+  individually on convergence. Protocols without a vectorized
+  ``step_batch`` ride the generic per-replica fallback. Per-trial
   trajectory consumers (``keep_results=True``) are served by attaching a
   :class:`~repro.trace.FullTrace` recorder and converting the recorded
   ``(R, T)`` matrix back into per-trial :class:`RunResult` objects.
-* ``"auto"`` (default) — batched when the protocol ships a vectorized
-  ``step_batch`` (``Protocol.batch_vectorized``) and the observation model
-  has a batched side; sequential otherwise. ``engine="sequential"`` remains
-  the explicit escape hatch for bitwise per-trial streams.
 * ``"counts"`` — explicit opt-in to the sufficient-statistic
   :class:`~repro.core.counts.CountEngine`: replicas are ``(S,)`` state-count
   vectors, one multinomial-family transition per round, O(num_states) memory
   regardless of ``n``. Exact in distribution for exchangeable populations
   but a *different* RNG consumption pattern, so per-trial streams do not
-  match the other engines bitwise (aggregates are KS-equivalent). Requires
+  match the batched engine bitwise (aggregates are KS-equivalent). Requires
   a count-model protocol (``Protocol.counts_supported``), a count-capable
   initializer (``Initializer.supports_counts``), and a fraction-keyed
   observation model; ``"auto"`` never selects it.
+
+Both engines run the one lock-step round loop, ``_run_lockstep`` in
+:mod:`repro.core.batch`.
 """
 
 from __future__ import annotations
@@ -55,12 +52,11 @@ import numpy as np
 from ..config import RunSpec
 from ..core.batch import BatchedEngine, BatchedPopulation, stack_states
 from ..core.counts import CountEngine, CountPopulation, make_count_population
-from ..core.engine import SynchronousEngine
 from ..core.population import PopulationState, make_population
 from ..core.protocol import Protocol, ProtocolState
 from ..core.records import RunResult
 from ..core.rng import spawn_rngs
-from ..core.sampling import BatchedSampler, Sampler
+from ..core.sampling import BatchedSampler
 from ..initializers.standard import Initializer
 from ..stats.summary import TimesSummary, describe_times, wilson_interval
 from ..trace import FullTrace
@@ -88,7 +84,7 @@ class TrialStats:
     successes: int
     times: np.ndarray  # convergence rounds of the successful trials
     results: list[RunResult] = field(default_factory=list, repr=False)
-    engine: str = "sequential"  # which execution engine produced the stats
+    engine: str = "batched"  # which execution engine produced the stats
 
     @property
     def success_rate(self) -> float:
@@ -130,7 +126,6 @@ def run_trials(
     max_rounds: int,
     seed: int,
     correct_opinion: int = 1,
-    sampler_factory: Callable[[], Sampler] | None = None,
     population_factory: Callable[[], PopulationState] | None = None,
     stability_rounds: int = 2,
     keep_results: bool = False,
@@ -152,11 +147,9 @@ def run_trials(
     stream, and runs to convergence or ``max_rounds``. ``trials=0`` is
     allowed and yields an empty aggregate (no successes, empty ``times``,
     NaN summaries) without touching either engine. ``batched_sampler``
-    supplies the batched observation model when ``sampler_factory``
-    customizes the sequential one (e.g.
-    :class:`~repro.core.noise.BatchedNoisyCountSampler` to pair with
-    :class:`~repro.core.noise.NoisyCountSampler`) — declaratively-built
-    specs never need the pair, the sampler registry pairs them.
+    overrides the observation model (e.g.
+    :class:`~repro.core.noise.BatchedNoisyCountSampler`); declaratively-built
+    specs never need it, the sampler registry resolves them.
     """
     if trials < 0:
         raise ValueError(f"trials must be >= 0, got {trials}")
@@ -176,7 +169,6 @@ def run_trials(
         keep_results=keep_results,
         protocol_factory=protocol_factory,
         initializer=initializer,
-        sampler_factory=sampler_factory,
         batched_sampler=batched_sampler,
         population_factory=population_factory,
     )
@@ -188,7 +180,6 @@ def execute_run(
     keep_results: bool = False,
     protocol_factory: Callable[[], Protocol] | None = None,
     initializer: Initializer | None = None,
-    sampler_factory: Callable[[], Sampler] | None = None,
     batched_sampler: BatchedSampler | None = None,
     population_factory: Callable[[], PopulationState] | None = None,
 ) -> TrialStats:
@@ -196,21 +187,13 @@ def execute_run(
 
     Keyword overrides replace the spec's declarative components with live
     objects — the adapter path of :func:`run_trials` and the escape hatch
-    for components with no declarative form. When ``sampler_factory`` is
-    overridden without a ``batched_sampler``, an explicit ``"batched"``
-    engine request is an error and ``"auto"`` falls back to sequential
-    (exactly the legacy contract); declarative samplers are always paired
-    by the registry.
+    for components with no declarative form.
     """
-    if spec.engine in ("batched", "counts") and sampler_factory is not None and batched_sampler is None:
-        raise ValueError(
-            "a custom sampler_factory needs a matching batched_sampler "
-            f"for the {spec.engine} engine"
-        )
-    if spec.engine == "counts" and population_factory is not None:
+    counts = spec.engine == "counts"
+    if counts and population_factory is not None:
         raise ValueError(
             "population_factory builds a per-agent layout; the counts engine "
-            "tracks state counts only — use engine='batched' or 'sequential'"
+            "tracks state counts only — use engine='batched'"
         )
     if protocol_factory is None:
         protocol_factory = spec.protocol_factory()
@@ -218,113 +201,48 @@ def execute_run(
         initializer = spec.build_initializer()
     if population_factory is None and spec.population is not None:
         population_factory = spec.population_factory()
-        if spec.engine == "counts" and population_factory is not None:
+        if counts and population_factory is not None:
             raise ValueError(
                 f"population {spec.population['name']!r} is a crafted "
                 "per-agent layout; the counts engine only models the "
                 "standard source-pinned population"
             )
-    if sampler_factory is None and batched_sampler is None:
-        sampler_factory, batched_sampler = spec.samplers()
-        if spec.engine == "batched" and batched_sampler is None:
-            raise ValueError(
-                f"sampler {spec.sampler!r} has no batched observation model; "
-                "this condition can only run on the sequential engine"
-            )
-        if spec.engine == "counts" and batched_sampler is None:
-            raise ValueError(
-                f"sampler {spec.sampler!r} has no fraction-keyed batched "
-                "observation model; this condition cannot run on the counts "
-                "engine"
-            )
     # The declared population shape (n, num_sources, correct_opinion) is
-    # built natively by both per-agent engine paths; a declarative
-    # ``population`` component resolves to a factory above (``standard``
-    # resolves to None, i.e. the native path), and the keyword stays the
-    # escape hatch for layouts with no declarative form.
+    # built natively by both engines; a declarative ``population``
+    # component resolves to a factory above (``standard`` resolves to None,
+    # i.e. the native path), and the keyword stays the escape hatch for
+    # layouts with no declarative form.
     max_rounds = spec.resolved_max_rounds()
-
-    probe: Protocol | None = None
-    use_batched = spec.engine == "batched"
-    if spec.engine == "auto" and (sampler_factory is None or batched_sampler is not None):
-        probe = protocol_factory()
-        use_batched = probe.batch_vectorized
+    protocol = protocol_factory()
     if spec.trials == 0:
         # Degrade gracefully: an empty aggregate with no division warnings
         # (success_rate and the time summary report NaN, times stays empty)
         # rather than an error — sweep grids may legitimately zip in empty
         # cells, and downstream table code handles the NaNs already.
-        probe = probe if probe is not None else protocol_factory()
-        if spec.engine == "counts":
-            idle_engine = "counts"
-        else:
-            idle_engine = "batched" if use_batched else "sequential"
         return TrialStats(
-            protocol_name=probe.name,
+            protocol_name=protocol.name,
             initializer_name=initializer.name,
             n=spec.n,
             trials=0,
             max_rounds=max_rounds,
             successes=0,
             times=np.empty(0, dtype=float),
-            engine=idle_engine,
+            engine="counts" if counts else "batched",
         )
-    if spec.engine == "counts" or use_batched:
-        protocol = probe if probe is not None else protocol_factory()
-        if spec.engine == "counts":
-            engine = make_count_engine(
-                spec, protocol=protocol, initializer=initializer, sampler=batched_sampler
-            )
-        else:
-            engine = make_batched_engine(
-                spec,
-                protocol=protocol,
-                initializer=initializer,
-                batched_sampler=batched_sampler,
-                population_factory=population_factory,
-            )
-        return _run_lockstep_trials(
-            engine, spec, initializer, max_rounds=max_rounds, keep_results=keep_results
+    if counts:
+        engine = make_count_engine(
+            spec, protocol=protocol, initializer=initializer, sampler=batched_sampler
         )
-    rngs = spawn_rngs(spec.seed, spec.trials)
-    times: list[int] = []
-    successes = 0
-    results: list[RunResult] = []
-    protocol_name = ""
-    init_name = initializer.name
-    for rng in rngs:
-        protocol = protocol_factory()
-        protocol_name = protocol.name
-        population = (
-            population_factory()
-            if population_factory is not None
-            else make_population(spec.n, spec.correct_opinion, num_sources=spec.num_sources)
+    else:
+        engine = make_batched_engine(
+            spec,
+            protocol=protocol,
+            initializer=initializer,
+            batched_sampler=batched_sampler,
+            population_factory=population_factory,
         )
-        state = protocol.init_state(population.n, rng)
-        initializer(population, protocol, state, rng)
-        trial_engine = SynchronousEngine(
-            protocol,
-            population,
-            sampler=sampler_factory() if sampler_factory is not None else None,
-            rng=rng,
-            state=state,
-        )
-        result = trial_engine.run(max_rounds, stability_rounds=spec.stability_rounds)
-        if result.converged:
-            successes += 1
-            times.append(result.rounds)
-        if keep_results:
-            results.append(result)
-    return TrialStats(
-        protocol_name=protocol_name,
-        initializer_name=init_name,
-        n=spec.n,
-        trials=spec.trials,
-        max_rounds=max_rounds,
-        successes=successes,
-        times=np.asarray(times, dtype=float),
-        results=results,
-        engine="sequential",
+    return _run_lockstep_trials(
+        engine, spec, initializer, max_rounds=max_rounds, keep_results=keep_results
     )
 
 
@@ -350,8 +268,7 @@ def prepare_batch(
     (``num_sources`` sources at the canonical indices), the whole initial
     batch is built with vectorized draws (one stream for initialization,
     one for the lock-step dynamics). Otherwise initial configurations are
-    built per trial on the same spawned streams the sequential path uses,
-    so the initial-condition distribution matches it bitwise. One protocol
+    built per trial, each on its own spawned stream, and stacked. One protocol
     instance serves the whole batch — valid because protocol instances hold
     round configuration only, with all per-agent state in the state dict
     (the :class:`~repro.core.protocol.Protocol` contract).
@@ -398,8 +315,7 @@ def make_batched_engine(
     Resolves the protocol, initializer, batched observation model, and
     population layout from the spec (live-object keywords override), builds
     the initialized batch on the spec's seed, and returns the engine ready
-    to ``run``. Raises when the spec's observation component has no batched
-    side (e.g. the literal index sampler).
+    to ``run``.
     """
     if protocol is None:
         protocol = spec.build_protocol()
@@ -407,11 +323,6 @@ def make_batched_engine(
         initializer = spec.build_initializer()
     if batched_sampler is None:
         batched_sampler = spec.samplers()[1]
-        if batched_sampler is None:
-            raise ValueError(
-                f"sampler {spec.sampler!r} has no batched observation model; "
-                "this condition can only run on the sequential engine"
-            )
     if population_factory is None and spec.population is not None:
         population_factory = spec.population_factory()
     batch, states, rng = prepare_batch(
@@ -450,7 +361,7 @@ def prepare_counts(
         raise ValueError(
             f"initializer {initializer.name!r} builds per-agent configurations "
             "(supports_counts=False); the counts engine needs an exchangeable "
-            "count-level initializer — use engine='batched' or 'sequential'"
+            "count-level initializer — use engine='batched'"
         )
     init_rng, dyn_rng = spawn_rngs(seed, 2)
     population = make_count_population(
@@ -483,12 +394,6 @@ def make_count_engine(
         initializer = spec.build_initializer()
     if sampler is None:
         sampler = spec.samplers()[1]
-        if sampler is None:
-            raise ValueError(
-                f"sampler {spec.sampler!r} has no fraction-keyed batched "
-                "observation model; this condition cannot run on the counts "
-                "engine"
-            )
     population, rng = prepare_counts(
         protocol,
         spec.n,

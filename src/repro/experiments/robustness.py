@@ -18,10 +18,9 @@ correct fraction over a window after θ was reached).
 The driver runs on the sweep orchestrator (:mod:`repro.sweep`): each noise
 level becomes one cell of a grid with the ``theta`` measure, so the levels
 run in parallel across ``jobs`` worker processes and can persist/resume
-through a results ``store``. Since the trace subsystem landed, the ``theta``
-measure runs each cell's trials on the *batched* engine (trace-recorded, with
-per-replica settle windows served by linger-retirement); pass
-``engine="sequential"`` to force the original per-trial loop.
+through a results ``store``. The ``theta`` measure runs each cell's trials
+on the batched engine (trace-recorded, with per-replica settle windows
+served by linger-retirement).
 """
 
 from __future__ import annotations

@@ -4,33 +4,25 @@ Connects the simulator to the analysis layer: runs a protocol and labels
 every consecutive-fraction pair ``(x_t, x_{t+1})`` with its Figure 1a domain.
 Used by the Figure 1b experiment and by the trajectory examples.
 
-Two entry points:
-
-* :func:`run_annotated` — one trial on the sequential engine (the original
-  single-run tour, and the cross-check reference for the batched path);
-* :func:`run_annotated_batch` — R independent trials as one batched run with
-  a :class:`~repro.trace.FullTrace` recorder; the recorded ``(R, T)`` matrix
-  is split back into per-trial trajectories and annotated identically.
+:func:`run_annotated_batch` runs R independent trials as one batched run
+with a :class:`~repro.trace.FullTrace` recorder; the recorded ``(R, T)``
+matrix is split back into per-trial trajectories and each is annotated. A
+single annotated trial is ``run_annotated_batch(..., 1)[0]``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from ..analysis.domains import Domain, DomainPartition
 from ..config import RunSpec
-from ..core.engine import SynchronousEngine
-from ..core.population import make_population
 from ..core.protocol import Protocol
 from ..core.records import RunResult
-from ..core.rng import as_rng
 from ..initializers.standard import Initializer
 from ..trace import FullTrace
 from .harness import make_batched_engine
 
-__all__ = ["AnnotatedRun", "run_annotated", "run_annotated_batch"]
+__all__ = ["AnnotatedRun", "run_annotated_batch"]
 
 
 @dataclass
@@ -54,29 +46,6 @@ class AnnotatedRun:
         return segments
 
 
-def run_annotated(
-    protocol: Protocol,
-    n: int,
-    initializer: Initializer,
-    *,
-    max_rounds: int,
-    seed: int | np.random.Generator,
-    correct_opinion: int = 1,
-    delta: float = 0.05,
-    stability_rounds: int = 2,
-) -> AnnotatedRun:
-    """Run once and classify every trajectory pair into Figure 1a domains."""
-    rng = as_rng(seed)
-    population = make_population(n, correct_opinion)
-    state = protocol.init_state(n, rng)
-    initializer(population, protocol, state, rng)
-    engine = SynchronousEngine(protocol, population, rng=rng, state=state)
-    result = engine.run(max_rounds, stability_rounds=stability_rounds)
-    partition = DomainPartition(n=n, delta=delta)
-    domains = partition.classify_pairs(result.pairs())
-    return AnnotatedRun(result=result, domains=domains)
-
-
 def run_annotated_batch(
     protocol: Protocol,
     n: int,
@@ -92,9 +61,9 @@ def run_annotated_batch(
     """Run ``replicas`` trials batched and annotate each trajectory.
 
     One lock-step :class:`~repro.core.batch.BatchedEngine` run with a
-    full-trace recorder replaces ``replicas`` sequential runs; each recorded
-    per-replica trajectory is trimmed to the rounds that replica executed and
-    classified exactly as :func:`run_annotated` classifies a sequential one.
+    full-trace recorder; each recorded per-replica trajectory is trimmed to
+    the rounds that replica executed and every ``(x_t, x_{t+1})`` pair is
+    classified into its Figure 1a domain.
     """
     spec = RunSpec(
         protocol=None,  # live instance supplied below

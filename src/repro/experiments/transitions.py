@@ -6,10 +6,7 @@ many FET trajectories from adversarial starts, classifies every consecutive
 pair, and aggregates (a) how long the chain dwells in each domain family and
 (b) where it goes when it leaves — the measured counterpart of the diagram.
 
-Trajectories come from the batched engine by default (one trace-recorded
-lock-step run per initializer instead of ``trials_per_init`` sequential
-runs); ``engine="sequential"`` keeps the original per-trial path as a
-cross-check.
+Trajectories come from one trace-recorded lock-step run per initializer.
 """
 
 from __future__ import annotations
@@ -19,10 +16,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..core.rng import spawn_rngs
 from ..initializers.standard import Initializer
 from ..protocols.fet import FETProtocol
-from .trajectories import AnnotatedRun, run_annotated, run_annotated_batch
+from .trajectories import AnnotatedRun, run_annotated_batch
 
 __all__ = ["TransitionSummary", "collect_transitions"]
 
@@ -86,47 +82,24 @@ def collect_transitions(
     max_rounds: int,
     seed: int,
     delta: float = 0.05,
-    engine: str = "auto",
 ) -> TransitionSummary:
     """Run FET from each initializer and aggregate domain-transition data.
 
-    ``engine="auto"`` (default) and ``"batched"`` record all of an
-    initializer's trials in one trace-recorded batched run — statistically
-    equivalent and several times faster; ``"sequential"`` keeps the original
-    per-trial engine (the cross-check path the equivalence tests compare
-    against).
+    Each initializer's trials are recorded in one trace-recorded batched run.
     """
-    if engine not in ("auto", "batched", "sequential"):
-        raise ValueError(f"engine must be 'auto', 'batched' or 'sequential', got {engine!r}")
-    use_batched = engine == "batched" or (
-        engine == "auto" and FETProtocol(ell).batch_vectorized
-    )
     summary = TransitionSummary()
     if trials_per_init == 0:
         return summary
     for init_index, initializer in enumerate(initializers):
-        if use_batched:
-            annotated_runs = run_annotated_batch(
-                FETProtocol(ell),
-                n,
-                initializer,
-                trials_per_init,
-                max_rounds=max_rounds,
-                seed=seed + init_index,
-                delta=delta,
-            )
-        else:
-            annotated_runs = (
-                run_annotated(
-                    FETProtocol(ell),
-                    n,
-                    initializer,
-                    max_rounds=max_rounds,
-                    seed=rng,
-                    delta=delta,
-                )
-                for rng in spawn_rngs(seed + init_index, trials_per_init)
-            )
+        annotated_runs = run_annotated_batch(
+            FETProtocol(ell),
+            n,
+            initializer,
+            trials_per_init,
+            max_rounds=max_rounds,
+            seed=seed + init_index,
+            delta=delta,
+        )
         for annotated in annotated_runs:
             _accumulate(summary, annotated)
     return summary

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..core.engine import run_protocol
+from ..core.batch import run_protocol
 from ..core.population import make_population
 from ..core.rng import derive_rng
 from ..initializers.adversarial import TwoRoundTarget

@@ -51,7 +51,6 @@ class HysteresisFETProtocol(Protocol):
     """FET with a symmetric dead-band on the trend comparison."""
 
     passive = True
-    batch_vectorized = True
     counts_supported = True
 
     def __init__(self, ell: int, band: int) -> None:

@@ -25,7 +25,6 @@ class MajorityProtocol(Protocol):
     """Adopt the majority among ``k`` uniform samples (odd ``k``, ties impossible)."""
 
     passive = True
-    batch_vectorized = True
     counts_supported = True
 
     def __init__(self, k: int = 3) -> None:

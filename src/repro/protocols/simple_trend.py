@@ -35,7 +35,6 @@ class SimpleTrendProtocol(Protocol):
     """Single-counter trend following (ℓ samples per round)."""
 
     passive = True
-    batch_vectorized = True
     counts_supported = True
 
     def __init__(self, ell: int) -> None:

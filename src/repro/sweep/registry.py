@@ -10,11 +10,9 @@ process runs the cell. Three component kinds are registered:
   constructions (:class:`~repro.initializers.adversarial.FrozenUnanimity`
   additionally needs the ``majority`` population component — the pairing
   is cross-checked by :func:`validate_cell`);
-* **samplers** — observation models, registered as *paired* scalar and
-  batched builders (:func:`build_samplers`), so declaring a sampler always
-  yields the matching batched observation model alongside the scalar one
-  (entries without a batched counterpart, like the literal index sampler,
-  pair with ``None`` and force the sequential engine);
+* **samplers** — observation models, registered by their batched builder
+  (:func:`build_samplers` pairs it with its ``scalar()`` side), so declaring
+  a sampler always yields the observation model both engines consume;
 * **populations** — population layouts (:func:`build_population`):
   ``standard`` is the default source-pinned layout every run spec builds
   natively (declaring it changes nothing), ``majority`` the
@@ -31,13 +29,12 @@ from __future__ import annotations
 
 from typing import Callable
 
-from ..core.noise import BatchedNoisyCountSampler, NoisyCountSampler
+from ..core.noise import BatchedNoisyCountSampler
 from ..core.protocol import Protocol
 from ..core.sampling import (
     BatchedBinomialSampler,
+    BatchedIndexSampler,
     BatchedSampler,
-    BinomialCountSampler,
-    IndexSampler,
     Sampler,
 )
 from ..core.population import PopulationState, make_majority_population, make_population
@@ -185,31 +182,16 @@ def _epsilon_param(params: dict) -> float:
     return float(params["epsilon"])
 
 
-#: name -> (scalar builder(params) -> Sampler,
-#:          batched builder(params) -> BatchedSampler | None when the model
-#:          has no batched counterpart (forces the sequential engine),
-#:          allowed parameter names)
-_SAMPLERS: dict[
-    str,
-    tuple[
-        Callable[[dict], Sampler],
-        Callable[[dict], BatchedSampler] | None,
-        set[str],
-    ],
-] = {
-    "binomial": (
-        lambda p: BinomialCountSampler(),
-        lambda p: BatchedBinomialSampler(_method_param(p)),
-        {"method"},
-    ),
+#: name -> (builder(params) -> BatchedSampler, allowed parameter names);
+#:          the scalar side is the built sampler's ``scalar()``.
+_SAMPLERS: dict[str, tuple[Callable[[dict], BatchedSampler], set[str]]] = {
+    "binomial": (lambda p: BatchedBinomialSampler(_method_param(p)), {"method"}),
     "noisy": (
-        lambda p: NoisyCountSampler(_epsilon_param(p)),
         lambda p: BatchedNoisyCountSampler(_epsilon_param(p), _method_param(p)),
         {"epsilon", "method"},
     ),
     "index": (
-        lambda p: IndexSampler(exclude_self=bool(p.get("exclude_self", False))),
-        None,
+        lambda p: BatchedIndexSampler(exclude_self=bool(p.get("exclude_self", False))),
         {"exclude_self"},
     ),
 }
@@ -241,7 +223,7 @@ def component_catalog() -> dict[str, dict[str, list[str]]]:
     return {
         "protocol": {name: sorted(entry[1]) for name, entry in sorted(_PROTOCOLS.items())},
         "initializer": {name: sorted(entry[1]) for name, entry in sorted(_INITIALIZERS.items())},
-        "sampler": {name: sorted(entry[2]) for name, entry in sorted(_SAMPLERS.items())},
+        "sampler": {name: sorted(entry[1]) for name, entry in sorted(_SAMPLERS.items())},
         "population": {name: sorted(entry[1]) for name, entry in sorted(_POPULATIONS.items())},
     }
 
@@ -321,26 +303,19 @@ def population_factory(
     )
 
 
-def build_samplers(
-    spec: dict,
-) -> tuple[Callable[[], Sampler], BatchedSampler | None]:
+def build_samplers(spec: dict) -> tuple[Callable[[], Sampler], BatchedSampler]:
     """The paired (scalar factory, batched sampler) for an observation spec.
 
-    One registry entry produces *both* sides of the observation model, so a
-    declared sampler can never reach the batched engine unpaired — the old
-    ``sampler_factory``-without-``batched_sampler`` footgun has no
-    declarative equivalent. Entries without a batched counterpart return
-    ``None`` on the batched side; engine resolution treats that as
-    "sequential only".
+    One registry entry builds the batched observation model; its
+    ``scalar()`` method is the scalar factory, so the two sides can never
+    disagree.
     """
     name = spec.get("name")
     if name not in _SAMPLERS:
         raise ValueError(f"unknown sampler {name!r}; known samplers: {sampler_names()}")
-    scalar_builder, batched_builder, allowed = _SAMPLERS[name]
-    params = _params(spec, "sampler", allowed)
-    scalar_builder(params)  # surface parameter errors immediately
-    batched = batched_builder(params) if batched_builder is not None else None
-    return (lambda: scalar_builder(params)), batched
+    builder, allowed = _SAMPLERS[name]
+    batched = builder(_params(spec, "sampler", allowed))
+    return batched.scalar, batched
 
 
 def validate_cell(cell) -> None:
@@ -378,7 +353,7 @@ def validate_cell(cell) -> None:
                 raise ValueError(
                     f"protocol {cell.protocol['name']!r} has no count model "
                     "(counts_supported=False); the counts engine cannot run "
-                    "it — use engine='auto', 'batched' or 'sequential'"
+                    "it — use engine='auto' or 'batched'"
                 )
             if not initializer.supports_counts:
                 raise ValueError(
@@ -401,33 +376,12 @@ def validate_cell(cell) -> None:
                 )
         if cell.sampler is not None:
             _, batched = build_samplers(cell.sampler)
-            if batched is None:
-                # A sequential-only observation model is fine per se, but
-                # not with anything that requires the batched engine —
-                # surface the conflict here, not from inside a worker.
-                if cell.engine == "batched":
-                    raise ValueError(
-                        f"sampler {cell.sampler['name']!r} has no batched "
-                        "observation model; use engine='auto' or 'sequential'"
-                    )
-                if cell.engine == "counts":
-                    raise ValueError(
-                        f"sampler {cell.sampler['name']!r} has no "
-                        "fraction-keyed batched observation model; the "
-                        "counts engine cannot run it"
-                    )
-                if cell.measure.get("kind") == "trace":
-                    raise ValueError(
-                        "the trace measure runs on the batched engine, but "
-                        f"sampler {cell.sampler['name']!r} has no batched "
-                        "observation model"
-                    )
-            elif cell.engine == "counts" and not hasattr(batched, "effective_fractions"):
+            if cell.engine == "counts" and not hasattr(batched, "effective_fractions"):
                 raise ValueError(
                     f"sampler {cell.sampler['name']!r} is not keyed on "
                     "one-fractions; the counts engine draws its own "
                     "multinomial transitions and only supports the "
-                    "BatchedBinomialSampler family"
+                    "fraction-keyed BatchedBinomialSampler family"
                 )
     except (ValueError, KeyError, TypeError) as error:
         raise ValueError(f"invalid sweep cell [{cell.label()}]: {error}") from error

@@ -25,9 +25,7 @@ Three kinds ship built in (``cell.measure["kind"]``):
     :mod:`repro.experiments.robustness`. On the batched engines the settle
     window is served by trace recording plus ``linger_rounds`` retirement
     (replicas keep stepping through their window before retiring), and the
-    per-trial settle levels are reduced vectorized from the trace; the
-    sequential per-trial loop remains behind ``engine="sequential"`` as the
-    cross-check path.
+    per-trial settle levels are reduced vectorized from the trace.
 ``trace``
     Convergence aggregates plus trace-derived trajectory statistics (settle
     round per replica, optional post-settle flip rate) recorded through a
@@ -44,11 +42,9 @@ from typing import TYPE_CHECKING, Callable
 
 import numpy as np
 
-from ..core.engine import SynchronousEngine
 from ..telemetry.events import EventLog, use_event_log
 from ..telemetry.registry import MetricsRegistry, use_registry
 from ..telemetry.spans import SpanTracer, use_tracer
-from ..core.rng import spawn_rngs
 from ..stats.summary import TimesSummary, describe_times
 from ..trace import (
     FullTrace,
@@ -383,13 +379,6 @@ class MeteredCell:
         return result
 
 
-def _use_batched(cell: Cell, protocol) -> bool:
-    """Engine resolution shared by the trace-backed measures (the cell's
-    own policy: auto requires both a vectorized protocol step and a batched
-    observation model)."""
-    return cell.use_batched(protocol)
-
-
 def _base_payload(kind: str, protocol_name: str, initializer, engine: str) -> dict:
     return {
         "measure": kind,
@@ -431,21 +420,18 @@ def _validate_theta(measure: dict) -> None:
 
 
 def _measure_theta(cell: Cell, factory, initializer) -> dict:
-    """θ-convergence + settle level, batched by default.
+    """θ-convergence + settle level.
 
-    The batched path runs all trials lock-step with a full-trace recorder:
-    ``linger_rounds`` keeps each replica stepping through its settle window
-    after it first held θ for the stability window (exactly the sequential
-    semantics of stopping at θ and then stepping on), and the per-trial
-    settle levels come vectorized from the recorded non-source correct
-    fractions. ``engine="sequential"`` keeps the original per-trial loop.
+    All trials run lock-step with a full-trace recorder: ``linger_rounds``
+    keeps each replica stepping through its settle window after it first
+    held θ for the stability window (stop at θ, then step on), and the
+    per-trial settle levels come vectorized from the recorded non-source
+    correct fractions.
     """
     theta = float(cell.measure["theta"])
     settle_window = int(cell.measure.get("settle_window", 20))
     protocol = factory()
     counts = cell.engine == "counts"
-    if not counts and not _use_batched(cell, protocol):
-        return _measure_theta_sequential(cell, factory, initializer, theta, settle_window)
     base = _base_payload("theta", protocol.name, initializer, "counts" if counts else "batched")
     base.update({"reached": 0, "settle_levels": [], "theta": theta, "settle_window": settle_window})
     if cell.trials == 0:
@@ -468,8 +454,8 @@ def _measure_theta(cell: Cell, factory, initializer) -> dict:
     )
     trace = recorder.trace()
     levels = nonsource_correct_fractions(trace)
-    # The settle window opens where the sequential run stops stepping: the
-    # round the stability window closed (t_con + stability - 1).
+    # The settle window opens where θ-convergence is detected: the round the
+    # stability window closed (t_con + stability - 1).
     window_start = np.where(
         result.converged, result.rounds + (cell.stability_rounds - 1), -1
     )
@@ -482,62 +468,6 @@ def _measure_theta(cell: Cell, factory, initializer) -> dict:
         }
     )
     return base
-
-
-def _measure_theta_sequential(
-    cell: Cell, factory, initializer, theta: float, settle_window: int
-) -> dict:
-    """Per-trial θ measurement on the sequential engine (cross-check path).
-
-    The settle window keeps stepping an engine after its stop condition
-    fired — the original semantics the batched linger path reproduces.
-    """
-    from ..core.population import make_population
-
-    protocol_name = ""
-    times: list[int] = []
-    settle_levels: list[float] = []
-    reached = 0
-    scalar_factory = cell.samplers()[0]
-    for rng in spawn_rngs(cell.seed, cell.trials):
-        protocol = factory()
-        protocol_name = protocol.name
-        population = make_population(cell.n, cell.correct_opinion, num_sources=cell.num_sources)
-        state = protocol.init_state(cell.n, rng)
-        initializer(population, protocol, state, rng)
-        engine = SynchronousEngine(
-            protocol,
-            population,
-            sampler=scalar_factory() if scalar_factory is not None else None,
-            rng=rng,
-            state=state,
-        )
-        result = engine.run(
-            cell.max_rounds,
-            stability_rounds=cell.stability_rounds,
-            stop_condition=lambda pop: pop.nonsource_correct_fraction() >= theta,
-        )
-        if result.converged:
-            reached += 1
-            times.append(result.rounds)
-            levels = []
-            for _ in range(settle_window):
-                engine.step()
-                levels.append(population.nonsource_correct_fraction())
-            settle_levels.append(float(np.mean(levels)) if levels else float("nan"))
-    if cell.trials == 0:
-        protocol_name = factory().name
-    return {
-        "measure": "theta",
-        "protocol": protocol_name,
-        "initializer": initializer.name,
-        "reached": reached,
-        "times": [float(t) for t in times],
-        "settle_levels": settle_levels,
-        "theta": theta,
-        "settle_window": settle_window,
-        "engine": "sequential",
-    }
 
 
 # ----------------------------------------------------------------- trace
@@ -563,15 +493,6 @@ def _measure_trace(cell: Cell, factory, initializer) -> dict:
     on, the post-settle flip rate. Also the workload of the trace-overhead
     benchmark: it is the consensus measurement plus recording.
     """
-    if cell.engine == "sequential":
-        # No silent engine override: unlike theta, this measure has no
-        # per-trial sequential implementation (merging per-trial ring/stride
-        # windows is not well-defined), so an explicit sequential request is
-        # an error rather than a different dynamics stream than asked for.
-        raise ValueError(
-            "the trace measure runs on the batched engine; "
-            "engine='sequential' is not supported for kind='trace'"
-        )
     stride = int(cell.measure.get("stride", 1))
     ring = cell.measure.get("ring")
     flips = bool(cell.measure.get("flips", False))

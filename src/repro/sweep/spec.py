@@ -49,7 +49,7 @@ from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Any
 
-from ..config import RUN_SCHEMA, RunSpec, canonical_json, derive_seed
+from ..config import ENGINES, RUN_SCHEMA, RunSpec, canonical_json, derive_seed
 
 __all__ = [
     "AXES",
@@ -148,8 +148,7 @@ class SweepSpec:
         ``{"kind": "consensus"}`` (default; full convergence aggregates via
         the run-spec executor), ``{"kind": "theta", "theta": ..,
         "settle_window": ..}`` (θ-convergence + settle level, the
-        robustness-sweep measurement — batched via trace recording unless
-        the spec forces ``engine="sequential"``), or ``{"kind": "trace",
+        robustness-sweep measurement, via trace recording), or ``{"kind": "trace",
         "stride": .., "ring": .., "flips": ..}`` (convergence aggregates
         plus trace-derived trajectory statistics). Kinds live in the
         runner's measure registry (``repro.sweep.register_measure``);
@@ -175,11 +174,8 @@ class SweepSpec:
             raise ValueError(f"max_rounds must be >= 1, got {self.max_rounds}")
         if self.stability_rounds < 1:
             raise ValueError(f"stability_rounds must be >= 1, got {self.stability_rounds}")
-        if self.engine not in ("auto", "batched", "sequential", "counts"):
-            raise ValueError(
-                f"engine must be 'auto', 'batched', 'sequential' or 'counts', "
-                f"got {self.engine!r}"
-            )
+        if self.engine not in ENGINES:
+            raise ValueError(f"engine must be one of {ENGINES}, got {self.engine!r}")
 
         axes = dict(self.axes)
         dotted = [axis for axis in axes if "." in axis]
@@ -231,10 +227,9 @@ class SweepSpec:
             ]
         if "engine" in axes:
             for value in axes["engine"]:
-                if value not in ("auto", "batched", "sequential", "counts"):
+                if value not in ENGINES:
                     raise ValueError(
-                        f"engine axis values must be 'auto', 'batched', "
-                        f"'sequential' or 'counts', got {value!r}"
+                        f"engine axis values must be one of {ENGINES}, got {value!r}"
                     )
         if "correct_opinion" in axes:
             for value in axes["correct_opinion"]:

@@ -1,15 +1,15 @@
-"""Trace capture: batched per-round trajectory recording for both engines.
+"""Trace capture: per-round trajectory recording for the lock-step engines.
 
 The paper's headline figures are *trajectories* — per-round one-fraction
 curves showing self-stabilizing convergence and phase transitions. The
-sequential engine logs them for free (one Python append per round); the
-batched engine advances R replicas in lock-step and *retires* finished rows,
-so trajectory capture has to be a layer over the round loop rather than an
-engine flag. That layer is this module:
+engines advance R replicas in lock-step and *retire* finished rows, so
+trajectory capture is a layer over the round loop rather than an engine
+flag. That layer is this module:
 
 * a :class:`TraceRecorder` is handed to ``BatchedEngine.run(recorder=...)``
-  (or ``SynchronousEngine.run(recorder=...)``, which records an ``R = 1``
-  batch). Each round the engine reports the full ``(R,)`` vector of
+  or ``CountEngine.run(recorder=...)``; a single trial
+  (:func:`~repro.core.batch.run_protocol`) records an ``R = 1`` batch. Each
+  round the engine reports the full ``(R,)`` vector of
   per-replica one-fractions — retired replicas keep their frozen final value,
   so the recorded matrix *survives retirement*: a retired row simply stays
   constant from its retirement round on.
@@ -26,7 +26,7 @@ engine flag. That layer is this module:
 Recorders produce a :class:`BatchTrace` — plain arrays plus metadata — which
 the vectorized measures in :mod:`repro.trace.measures` consume, and which can
 be exported through :mod:`repro.viz` (``write_trace_csv``,
-``render_batch_trace``) or converted back into per-replica sequential-style
+``render_batch_trace``) or converted back into per-trial
 :class:`~repro.core.records.RunResult` objects via
 :meth:`BatchTrace.to_run_results`.
 """
@@ -67,7 +67,7 @@ def make_recorder(
 
 @dataclass
 class BatchTrace:
-    """Recorded per-replica trajectories of one batched (or sequential) run.
+    """Recorded per-replica trajectories of one lock-step run.
 
     Attributes
     ----------
@@ -123,14 +123,13 @@ class BatchTrace:
         return self.x[r]
 
     def to_run_results(self, result: "BatchRunResult") -> list[RunResult]:
-        """Per-replica sequential-style :class:`RunResult` objects.
+        """Per-trial :class:`RunResult` objects, one per replica.
 
         Requires a complete stride-1 trace starting at round 0 (a ring buffer
         that wrapped, or any stride > 1, has lost rounds and raises). Each
-        replica's trajectory is trimmed to the rounds it actually executed —
-        exactly what a per-trial :class:`~repro.core.engine.SynchronousEngine`
-        run would have logged — so ``keep_results`` consumers (domain
-        classification, Figure 1b transitions) work unchanged on traces.
+        replica's trajectory is trimmed to the rounds it actually executed,
+        so ``keep_results`` consumers (domain classification, Figure 1b
+        transitions) and single-trial runs see exactly that trial's log.
         """
         if self.stride != 1:
             raise ValueError(

@@ -2,12 +2,15 @@
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 import pytest
 
 from repro.core.population import make_population
+from repro.core.protocol import Protocol
 from repro.core.rng import make_rng
-from repro.core.sampling import Sampler
+from repro.core.sampling import BinomialCountSampler, Sampler
 
 
 class ScriptedCountSampler(Sampler):
@@ -44,6 +47,53 @@ def small_population():
 
 def scripted_sampler(*vectors) -> ScriptedCountSampler:
     return ScriptedCountSampler(list(vectors))
+
+
+def scalar_reference(factory):
+    """Wrap a protocol factory so every built protocol steps through the
+    generic per-replica ``Protocol.step_batch`` fallback — the scalar rule,
+    one replica at a time. The reference side of every vectorized-vs-scalar
+    equivalence test."""
+
+    def build():
+        protocol = factory()
+        protocol.step_batch = functools.partial(Protocol.step_batch, protocol)
+        return protocol
+
+    return build
+
+
+def run_scalar_reference(factory, n, initializer, *, correct_opinion=1, **kwargs):
+    """``run_trials`` on the scalar reference: the scalar rule through the
+    generic ``Protocol.step_batch`` fallback, and every start built per trial
+    by the scalar ``init_state`` and ``Initializer.apply`` (a
+    ``population_factory`` sends ``prepare_batch`` down its per-trial
+    branch). Compare against the default run, which builds the whole batch
+    with ``init_state_batch`` and ``apply_batch``."""
+    from repro.experiments.harness import run_trials
+
+    return run_trials(
+        scalar_reference(factory), n, initializer, correct_opinion=correct_opinion,
+        population_factory=lambda: make_population(n, correct_opinion), engine="batched",
+        **kwargs,
+    )
+
+
+def patch_scalar_reference(patch, initializer_cls) -> None:
+    """Put sweep-level FET cells on the scalar reference: FET's scalar rule
+    through the generic ``Protocol.step_batch`` fallback, and the per-trial
+    scalar start of ``initializer_cls`` in place of its ``apply_batch``."""
+    from repro.protocols.fet import FETProtocol
+
+    patch.setattr(FETProtocol, "step_batch", Protocol.step_batch)
+    patch.setattr(initializer_cls, "supports_batch", False)
+
+
+def step_scalar(protocol, population, state, rng, sampler=None) -> None:
+    """One synchronous round of the scalar rule: every agent steps at once,
+    then the population installs the new opinions and re-pins its sources."""
+    sampler = sampler if sampler is not None else BinomialCountSampler()
+    population.set_opinions(protocol.step(population, state, sampler, rng))
 
 
 def pytest_configure(config):

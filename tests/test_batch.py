@@ -1,9 +1,11 @@
-"""Batched engine: unit semantics plus batched-vs-sequential equivalence.
+"""Batched engine: unit semantics plus vectorized-vs-scalar equivalence.
 
-The batched path must be *exact in distribution*: same success rates, same
-convergence-time distribution, same retirement semantics as running one
-:class:`SynchronousEngine` per trial. The equivalence tests here compare the
-two engines on shared seeds at KS/CI level (the dynamics consume different
+Each vectorized ``step_batch`` must be *exact in distribution* against its
+protocol's scalar rule: same success rates, same convergence-time
+distribution. The reference side builds every start per trial with the
+scalar ``init_state`` and initializer, and steps the scalar rule one replica
+at a time through the generic ``Protocol.step_batch`` fallback; both sides
+run on shared seeds and are compared at KS/CI level (they consume different
 streams, so outcomes are statistically — not bitwise — identical).
 """
 
@@ -13,6 +15,7 @@ import numpy as np
 import pytest
 from scipy import stats as scipy_stats
 
+from conftest import run_scalar_reference
 from repro.core.batch import (
     BatchedEngine,
     BatchedPopulation,
@@ -22,7 +25,7 @@ from repro.core.batch import (
 from repro.core.population import make_population
 from repro.core.protocol import Protocol
 from repro.core.rng import make_rng
-from repro.core.sampling import BatchedBinomialSampler, BinomialCountSampler
+from repro.core.sampling import BatchedBinomialSampler, BatchedIndexSampler, BinomialCountSampler
 from repro.experiments.harness import run_trials
 from repro.initializers.standard import AllWrong, BernoulliRandom, ExactFraction
 from repro.protocols.fet import FETProtocol
@@ -39,7 +42,6 @@ class GrowOneProtocol(Protocol):
     """
 
     name = "grow-one"
-    batch_vectorized = True
 
     def init_state(self, n, rng):
         return {}
@@ -64,7 +66,6 @@ class FlipAllProtocol(Protocol):
     """Inverts every opinion every round — never converges, never idles."""
 
     name = "flip-all"
-    batch_vectorized = True
 
     def init_state(self, n, rng):
         return {}
@@ -255,33 +256,30 @@ def _times(stats):
 
 
 class TestEngineEquivalence:
-    """Batched vs sequential: success rates and time distributions agree."""
+    """Vectorized vs scalar rule: success rates and time distributions agree."""
 
-    def check(self, factory, n, initializer, *, trials, max_rounds, seed, sampler=None,
-              batched_sampler=None, expect_success=None):
-        seq = run_trials(
+    def check(self, factory, n, initializer, *, trials, max_rounds, seed, expect_success=None):
+        ref = run_scalar_reference(
             factory, n, initializer, trials=trials, max_rounds=max_rounds, seed=seed,
-            engine="sequential", sampler_factory=sampler,
         )
         bat = run_trials(
             factory, n, initializer, trials=trials, max_rounds=max_rounds, seed=seed,
-            engine="batched", batched_sampler=batched_sampler,
-            sampler_factory=sampler,
+            engine="batched",
         )
-        assert bat.engine == "batched" and seq.engine == "sequential"
+        assert bat.engine == ref.engine == "batched"
         # success-rate agreement at CI level (overlapping Wilson intervals)
-        lo_s, hi_s = seq.success_interval
+        lo_s, hi_s = ref.success_interval
         lo_b, hi_b = bat.success_interval
         assert max(lo_s, lo_b) <= min(hi_s, hi_b), (
-            f"success CIs disjoint: seq [{lo_s:.3f},{hi_s:.3f}] vs bat [{lo_b:.3f},{hi_b:.3f}]"
+            f"success CIs disjoint: scalar [{lo_s:.3f},{hi_s:.3f}] vs bat [{lo_b:.3f},{hi_b:.3f}]"
         )
         if expect_success is not None:
-            assert seq.success_rate == expect_success
+            assert ref.success_rate == expect_success
             assert bat.success_rate == expect_success
-        ts, tb = _times(seq), _times(bat)
-        if ts.size > 30 and tb.size > 30:
-            assert scipy_stats.ks_2samp(ts, tb).pvalue > 1e-3
-        return seq, bat
+        tr, tb = _times(ref), _times(bat)
+        if tr.size > 30 and tb.size > 30:
+            assert scipy_stats.ks_2samp(tr, tb).pvalue > 1e-3
+        return ref, bat
 
     def test_fet_equivalent(self):
         self.check(
@@ -318,12 +316,12 @@ class TestEngineEquivalence:
         )
 
     def test_majority_sampling_lockin_equivalent(self):
-        # All-wrong start: both engines must agree the protocol fails.
-        seq, bat = self.check(
+        # All-wrong start: both rules must agree the protocol fails.
+        ref, bat = self.check(
             lambda: MajoritySamplingProtocol(24), 300, AllWrong(),
             trials=60, max_rounds=120, seed=16,
         )
-        assert seq.successes == 0 and bat.successes == 0
+        assert ref.successes == 0 and bat.successes == 0
 
     def test_exact_fraction_equivalent(self):
         self.check(
@@ -333,7 +331,7 @@ class TestEngineEquivalence:
 
     def test_clock_sync_equivalent(self):
         # The decoupled-message baseline on its vectorized step_batch: same
-        # success law and convergence-time law as the per-trial engine.
+        # success law and convergence-time law as its scalar rule.
         from repro.protocols.clock_sync import ClockSyncProtocol
         from repro.protocols.fet import ell_for
 
@@ -367,39 +365,41 @@ class TestRunTrialsDispatch:
             # trajectory covers round 0 through the rounds the replica executed
             assert result.trajectory.shape[0] >= result.rounds + 1
 
-    def test_sequential_escape_hatch_for_keep_results(self):
-        stats = run_trials(
-            lambda: FETProtocol(16), 100, AllWrong(), trials=4, max_rounds=400, seed=0,
-            keep_results=True, engine="sequential",
+    def test_generic_fallback_keep_results(self):
+        stats = run_scalar_reference(
+            lambda: FETProtocol(16), 100, AllWrong(), trials=4,
+            max_rounds=400, seed=0, keep_results=True,
         )
-        assert stats.engine == "sequential"
+        assert stats.engine == "batched"
         assert len(stats.results) == 4
 
-    def test_auto_falls_back_for_custom_sampler(self):
+    def test_auto_runs_custom_batched_sampler(self):
         stats = run_trials(
             lambda: FETProtocol(16), 100, AllWrong(), trials=4, max_rounds=400, seed=0,
-            sampler_factory=BinomialCountSampler,
+            batched_sampler=BatchedIndexSampler(),
         )
-        assert stats.engine == "sequential"
+        assert stats.engine == "batched"
+        assert stats.successes == 4
 
-    def test_batched_keep_results_matches_sequential_shape(self):
-        seq = run_trials(
-            lambda: FETProtocol(16), 100, AllWrong(), trials=4, max_rounds=400,
-            seed=0, engine="sequential", keep_results=True,
+    def test_batched_keep_results_matches_scalar_reference_shape(self):
+        ref = run_scalar_reference(
+            lambda: FETProtocol(16), 100, AllWrong(), trials=4,
+            max_rounds=400, seed=0, keep_results=True,
         )
         bat = run_trials(
             lambda: FETProtocol(16), 100, AllWrong(), trials=4, max_rounds=400,
             seed=0, engine="batched", keep_results=True,
         )
-        assert len(bat.results) == len(seq.results) == 4
-        for result in bat.results + seq.results:
+        assert len(bat.results) == len(ref.results) == 4
+        for result in bat.results + ref.results:
             # same contract: trajectory[0] is the initial all-wrong fraction
             # (one source pinned correct) and the final entry is consensus
             assert result.trajectory[0] == pytest.approx(0.01)
             assert result.final_fraction == 1.0
 
-    def test_batched_rejects_unpaired_sampler(self):
-        with pytest.raises(ValueError):
+    def test_sampler_factory_keyword_removed(self):
+        # Scalar-only observation overrides had no engine left to run on.
+        with pytest.raises(TypeError, match="sampler_factory"):
             run_trials(
                 lambda: FETProtocol(16), 100, AllWrong(), trials=4, max_rounds=400,
                 seed=0, engine="batched", sampler_factory=BinomialCountSampler,
@@ -434,7 +434,6 @@ class TestRunTrialsDispatch:
 
         def factory():
             protocol = ClockSyncProtocol(64, 4)
-            protocol.batch_vectorized = False
             protocol.step_batch = (  # type: ignore[method-assign]
                 lambda *args: Protocol.step_batch(protocol, *args)
             )
@@ -513,18 +512,19 @@ class TestBatchedSamplerStatistics:
 
 class TestBatchedNoise:
     def test_noisy_equivalence(self):
-        from repro.core.noise import BatchedNoisyCountSampler, NoisyCountSampler
+        from repro.core.noise import BatchedNoisyCountSampler
 
-        seq = run_trials(
-            lambda: FETProtocol(24), 200, AllWrong(), trials=120, max_rounds=60,
-            seed=21, engine="sequential", sampler_factory=lambda: NoisyCountSampler(0.1),
+        # The scalar reference observes through BatchedNoisyCountSampler's
+        # scalar side, NoisyCountSampler.
+        ref = run_scalar_reference(
+            lambda: FETProtocol(24), 200, AllWrong(), trials=120,
+            max_rounds=60, seed=21, batched_sampler=BatchedNoisyCountSampler(0.1),
         )
         bat = run_trials(
             lambda: FETProtocol(24), 200, AllWrong(), trials=120, max_rounds=60,
-            seed=21, engine="batched", sampler_factory=lambda: NoisyCountSampler(0.1),
-            batched_sampler=BatchedNoisyCountSampler(0.1),
+            seed=21, engine="batched", batched_sampler=BatchedNoisyCountSampler(0.1),
         )
         assert bat.engine == "batched"
-        lo_s, hi_s = seq.success_interval
+        lo_s, hi_s = ref.success_interval
         lo_b, hi_b = bat.success_interval
         assert max(lo_s, lo_b) <= min(hi_s, hi_b)

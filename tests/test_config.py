@@ -12,10 +12,16 @@ import numpy as np
 import pytest
 from scipy import stats as scipy_stats
 
-from repro.config import RunSpec, canonical_json, derive_seed
+from conftest import patch_scalar_reference, scalar_reference
+from repro.config import RUN_SCHEMA, RunSpec, canonical_json, derive_seed
 from repro.core.noise import BatchedNoisyCountSampler, NoisyCountSampler
 from repro.core.population import make_population
-from repro.core.sampling import BatchedBinomialSampler, IndexSampler
+from repro.core.sampling import (
+    BatchedBinomialSampler,
+    BatchedIndexSampler,
+    BinomialCountSampler,
+    IndexSampler,
+)
 from repro.experiments.harness import run_trials
 from repro.experiments.multisource import sweep_sources
 from repro.initializers.standard import AllWrong
@@ -162,12 +168,19 @@ class TestRunSpecExecution:
         stats = demo_spec(correct_opinion=0).execute()
         assert stats.successes == stats.trials
 
-    def test_index_sampler_forces_sequential(self):
+    def test_index_sampler_runs_batched(self):
         spec = demo_spec(sampler={"name": "index"}, trials=2, n=60)
         stats = spec.execute()
-        assert stats.engine == "sequential"
-        with pytest.raises(ValueError, match="no batched observation model"):
-            demo_spec(sampler={"name": "index"}, engine="batched").execute()
+        assert stats.engine == "batched"
+        # reference: the scalar rule observing through the scalar IndexSampler,
+        # every start built per trial by the scalar init path
+        ref = spec.execute(
+            protocol_factory=scalar_reference(spec.protocol_factory()),
+            population_factory=lambda: make_population(spec.n, spec.correct_opinion),
+        )
+        assert stats.successes == ref.successes == 2
+        explicit = demo_spec(sampler={"name": "index"}, trials=2, n=60, engine="batched")
+        assert explicit.execute().engine == "batched"
 
     def test_batched_engine_prepared(self):
         spec = demo_spec(trials=3, num_sources=5)
@@ -182,8 +195,8 @@ class TestRunSpecExecution:
         assert isinstance(scalar_factory(), NoisyCountSampler)
         assert isinstance(batched, BatchedNoisyCountSampler)
         assert scalar_factory().epsilon == batched.epsilon == 0.1
-        none_factory, default_batched = demo_spec().samplers()
-        assert none_factory is None
+        default_factory, default_batched = demo_spec().samplers()
+        assert isinstance(default_factory(), BinomialCountSampler)
         assert isinstance(default_batched, BatchedBinomialSampler)
 
 
@@ -194,11 +207,11 @@ class TestSamplerRegistry:
         assert isinstance(batched, BatchedNoisyCountSampler)
         assert batched.epsilon == 0.2
 
-    def test_index_sampler_has_no_batched_side(self):
+    def test_index_sampler_pairs_batched_index_sampler(self):
         scalar_factory, batched = build_samplers({"name": "index", "exclude_self": True})
         sampler = scalar_factory()
         assert isinstance(sampler, IndexSampler) and sampler.exclude_self
-        assert batched is None
+        assert isinstance(batched, BatchedIndexSampler) and batched.exclude_self
 
     def test_unknown_names_and_params_rejected(self):
         with pytest.raises(ValueError, match="unknown sampler"):
@@ -570,34 +583,106 @@ class TestStoreCompaction:
 
 
 class TestCellValidationConflicts:
-    def test_sequential_only_sampler_with_batched_engine_fails_fast(self):
+    def test_index_sampler_with_batched_engine_runs(self):
         spec = SweepSpec(
             axes={"protocol": ["fet"], "n": [100], "sampler": ["index"]},
             trials=1,
             max_rounds=50,
             engine="batched",
         )
-        with pytest.raises(ValueError, match="invalid sweep cell .*no batched"):
-            run_sweep(spec)
+        row = run_sweep(spec).rows()[0]
+        assert row["engine"] == "batched" and row["successes"] == 1
 
-    def test_sequential_only_sampler_with_trace_measure_fails_fast(self):
+    def test_index_sampler_with_trace_measure_runs(self):
         spec = SweepSpec(
             axes={"protocol": ["fet"], "n": [100], "sampler": ["index"]},
             trials=1,
             max_rounds=50,
             measure={"kind": "trace"},
         )
-        with pytest.raises(ValueError, match="invalid sweep cell .*trace measure"):
-            run_sweep(spec)
+        payload = run_sweep(spec).results[0].payload
+        assert payload["engine"] == "batched" and payload["successes"] == 1
 
-    def test_sequential_only_sampler_with_auto_engine_is_fine(self):
+    def test_index_sampler_with_auto_engine_runs_batched(self, monkeypatch):
         spec = SweepSpec(
             axes={"protocol": ["fet", {"name": "fet", "ell": 12}], "n": [60], "sampler": ["index"]},
             trials=2,
             max_rounds=80,
         )
-        result = run_sweep(spec)
-        assert all(row["engine"] == "sequential" for row in result.rows())
+        rows = run_sweep(spec).rows()
+        assert all(row["engine"] == "batched" for row in rows)
+        # reference: FET's scalar rule, one replica at a time, from scalar starts
+        patch_scalar_reference(monkeypatch, AllWrong)
+        reference = run_sweep(spec).rows()
+        assert [row["successes"] for row in rows] == [row["successes"] for row in reference]
+
+
+class TestRunSchema:
+    def test_schema_is_two(self):
+        assert RUN_SCHEMA == 2
+
+    def test_schema_one_record_is_a_miss_and_recomputed(self, tmp_path, monkeypatch):
+        import repro.config as config_module
+
+        spec = SweepSpec(
+            axes={"protocol": [{"name": "fet", "ell": 10}], "n": [60], "sampler": ["index"]},
+            trials=2,
+            max_rounds=100,
+        )
+        cell = spec.expand()[0]
+        with monkeypatch.context() as patch:
+            patch.setattr(config_module, "RUN_SCHEMA", 1)
+            stale_key = cell.key()
+        assert stale_key != cell.key()
+        store = ResultsStore(tmp_path / "store.jsonl")
+        # what a schema-1 run stored for this auto/index cell: per-trial streams
+        stale_payload = {
+            "measure": "consensus", "protocol": "fet", "initializer": "all-wrong",
+            "successes": 0, "times": [], "engine": "sequential",
+        }
+        store.put(stale_key, {"cell": cell.to_dict(), "payload": stale_payload})
+        result = run_sweep(spec, store=store).results[0]
+        assert not result.cached
+        assert result.payload["engine"] == "batched"
+        assert sorted(store.keys()) == sorted([stale_key, cell.key()])
+
+
+class TestSequentialEngineRemoved:
+    VALID = ("auto", "batched", "counts")
+
+    def _assert_lists_engines(self, message):
+        assert "sequential" in message
+        for engine in self.VALID:
+            assert engine in message
+
+    def test_runspec_rejects_sequential(self):
+        with pytest.raises(ValueError) as error:
+            demo_spec(engine="sequential")
+        self._assert_lists_engines(str(error.value))
+
+    def test_sweepspec_from_dict_rejects_sequential(self):
+        with pytest.raises(ValueError) as error:
+            SweepSpec.from_dict(
+                {"axes": {"protocol": ["fet"], "n": [100]}, "trials": 1, "engine": "sequential"}
+            )
+        self._assert_lists_engines(str(error.value))
+        with pytest.raises(ValueError) as error:
+            SweepSpec.from_dict(
+                {
+                    "version": 2,
+                    "axes": {"protocol": ["fet"], "n": [100], "engine": ["sequential"]},
+                    "trials": 1,
+                }
+            )
+        self._assert_lists_engines(str(error.value))
+
+    def test_compare_cli_rejects_sequential(self, capsys):
+        from repro.cli import main
+
+        with pytest.raises(SystemExit) as exit_info:
+            main(["compare", "--engine", "sequential"])
+        assert exit_info.value.code == 2
+        self._assert_lists_engines(capsys.readouterr().err)
 
 
 class TestCLISurface:
@@ -651,7 +736,8 @@ class TestRunTrialsAdapter:
             run_trials(factory, 100, AllWrong(), trials=1, max_rounds=0, seed=0)
         with pytest.raises(ValueError, match="engine must be"):
             run_trials(factory, 100, AllWrong(), trials=1, max_rounds=10, seed=0, engine="x")
-        with pytest.raises(ValueError, match="matching batched_sampler"):
+        # sampler_factory went with the per-trial engine it configured
+        with pytest.raises(TypeError, match="sampler_factory"):
             run_trials(
                 factory,
                 100,

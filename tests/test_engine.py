@@ -1,14 +1,16 @@
-"""Tests for the synchronous round engine."""
+"""Tests for single-trial runs: ``run_protocol``, a one-replica lock-step run."""
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
 
-from repro.core.engine import SynchronousEngine, run_protocol
+from repro.core.batch import BatchedEngine, BatchedPopulation, run_protocol
 from repro.core.population import make_population
 from repro.core.protocol import Protocol
 from repro.core.rng import make_rng
+from repro.core.sampling import IndexSampler
+from repro.initializers.standard import AllWrong
 from repro.protocols.fet import FETProtocol
 
 
@@ -41,32 +43,50 @@ class FlipFlopProtocol(Protocol):
 
 class TestEngineBasics:
     def test_step_counts_rounds(self):
+        # One all-correct round, one confirmation round: two rounds executed,
+        # logged after the initial configuration.
         pop = make_population(10, 1)
-        engine = SynchronousEngine(ConstantProtocol(1), pop, rng=0)
-        engine.step()
-        engine.step()
-        assert engine.round_index == 2
+        result = run_protocol(ConstantProtocol(1), pop, 50, rng=0)
+        assert result.trajectory.size == 3
 
     def test_step_record_fields(self):
         pop = make_population(10, 1)
-        engine = SynchronousEngine(ConstantProtocol(1), pop, rng=0)
-        record = engine.step()
-        assert record.round_index == 0
-        assert record.x_before == pytest.approx(0.1)
-        assert record.x_after == pytest.approx(1.0)
-        assert record.flips == 9
+        result = run_protocol(ConstantProtocol(1), pop, 50, rng=0, record_flips=True)
+        assert result.trajectory[0] == pytest.approx(0.1)
+        assert result.trajectory[1] == pytest.approx(1.0)
+        assert result.flips[0] == 9
 
     def test_source_pinned_by_engine(self):
         pop = make_population(10, 1)
-        engine = SynchronousEngine(ConstantProtocol(0), pop, rng=0)
-        engine.step()
+        result = run_protocol(ConstantProtocol(0), pop, 1, rng=0)
         assert pop.opinions[0] == 1  # source re-pinned after each step
+        assert result.trajectory[1] == pytest.approx(0.1)
 
     def test_engine_pins_at_construction(self):
         pop = make_population(10, 1)
         pop.opinions[0] = 0  # sloppy caller corrupts the source
-        SynchronousEngine(ConstantProtocol(0), pop, rng=0)
+        pop.invalidate_cache()
+        result = run_protocol(ConstantProtocol(0), pop, 1, rng=0)
+        assert result.trajectory[0] == pytest.approx(0.1)  # pinned before round 0
         assert pop.opinions[0] == 1
+
+    def test_final_opinions_and_state_written_back(self):
+        n, ell = 200, 12
+        pop = make_population(n, 1)
+        proto = FETProtocol(ell)
+        rng = make_rng(4)
+        state = proto.init_state(n, rng)
+        AllWrong()(pop, proto, state, rng)
+        result = run_protocol(proto, pop, 2000, rng=rng, state=state)
+        assert result.converged
+        assert pop.at_correct_consensus()
+        # the last round sampled an all-ones population
+        assert (state["prev_count"] == ell).all()
+
+    def test_scalar_sampler_rejected(self):
+        pop = make_population(10, 1)
+        with pytest.raises(TypeError, match="BatchedSampler"):
+            run_protocol(ConstantProtocol(1), pop, 5, rng=0, sampler=IndexSampler())
 
 
 class TestRun:
@@ -118,9 +138,8 @@ class TestRun:
 
     def test_negative_max_rounds_rejected(self):
         pop = make_population(10, 1)
-        engine = SynchronousEngine(ConstantProtocol(1), pop, rng=0)
-        with pytest.raises(ValueError):
-            engine.run(-1)
+        with pytest.raises(ValueError, match="max_rounds must be >= 1"):
+            run_protocol(ConstantProtocol(1), pop, -1, rng=0)
 
     def test_record_flips(self):
         pop = make_population(10, 1)
@@ -129,15 +148,15 @@ class TestRun:
         assert result.flips[0] == 9
 
     def test_custom_stop_condition(self):
-        pop = make_population(10, 1)
-        engine = SynchronousEngine(FlipFlopProtocol(), pop, rng=0)
+        batch = BatchedPopulation.from_population(make_population(10, 1), 1)
+        engine = BatchedEngine(FlipFlopProtocol(), batch, rng=0)
         result = engine.run(
             30,
             stability_rounds=1,
-            stop_condition=lambda p: p.fraction_ones() > 0.5,
+            stop_condition=lambda b: b.fraction_ones() > 0.5,
         )
-        assert result.converged
-        assert result.rounds == 1  # first flip sends everyone (but source) to 1
+        assert result.converged[0]
+        assert result.rounds[0] == 1  # first flip sends everyone (but source) to 1
 
 
 class TestEngineWithFET:
@@ -192,28 +211,25 @@ class TestFlipAccounting:
         # 9 non-source agents. Counting before the pin would report 10.
         pop = make_population(10, 1)
         pop.set_opinions(np.ones(10, dtype=np.uint8))
-        engine = SynchronousEngine(SourceDeviatorProtocol(), pop, rng=0)
-        record = engine.step()
-        assert record.flips == 9
+        result = run_protocol(SourceDeviatorProtocol(), pop, 1, rng=0, record_flips=True)
+        assert result.flips.tolist() == [9]
 
     def test_steady_source_not_a_flip(self):
         # From the all-correct configuration a constant-correct protocol
         # publishes an identical vector: zero flips, source included.
         pop = make_population(10, 1)
         pop.set_opinions(np.ones(10, dtype=np.uint8))
-        engine = SynchronousEngine(ConstantProtocol(1), pop, rng=0)
-        assert engine.step().flips == 0
+        result = run_protocol(ConstantProtocol(1), pop, 5, rng=0, record_flips=True)
+        assert result.flips.tolist() == [0]
 
 
 class TestStabilityValidation:
     def test_zero_stability_rejected(self):
         pop = make_population(10, 1)
-        engine = SynchronousEngine(ConstantProtocol(1), pop, rng=0)
-        with pytest.raises(ValueError):
-            engine.run(10, stability_rounds=0)
+        with pytest.raises(ValueError, match="stability_rounds"):
+            run_protocol(ConstantProtocol(1), pop, 10, rng=0, stability_rounds=0)
 
     def test_negative_stability_rejected(self):
         pop = make_population(10, 1)
-        engine = SynchronousEngine(ConstantProtocol(1), pop, rng=0)
-        with pytest.raises(ValueError):
-            engine.run(10, stability_rounds=-3)
+        with pytest.raises(ValueError, match="stability_rounds"):
+            run_protocol(ConstantProtocol(1), pop, 10, rng=0, stability_rounds=-3)

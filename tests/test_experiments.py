@@ -12,7 +12,7 @@ from repro.experiments.convergence import (
     sweep_sample_sizes,
 )
 from repro.experiments.harness import run_trials
-from repro.experiments.trajectories import run_annotated
+from repro.experiments.trajectories import run_annotated_batch
 from repro.experiments.transitions import collect_transitions
 from repro.initializers.standard import AllWrong, BernoulliRandom
 from repro.protocols.fet import FETProtocol, ell_for
@@ -141,34 +141,37 @@ class TestSweeps:
 
 class TestAnnotatedRun:
     def test_domains_align_with_pairs(self):
-        annotated = run_annotated(
+        annotated = run_annotated_batch(
             FETProtocol(40),
             800,
             AllWrong(),
+            1,
             max_rounds=1000,
             seed=0,
-        )
+        )[0]
         assert len(annotated.domains) == annotated.result.pairs().shape[0]
 
     def test_dwell_segments_sum(self):
-        annotated = run_annotated(
+        annotated = run_annotated_batch(
             FETProtocol(40),
             800,
             BernoulliRandom(0.5),
+            1,
             max_rounds=1000,
             seed=1,
-        )
+        )[0]
         total = sum(dwell for _, dwell in annotated.dwell_segments())
         assert total == len(annotated.domains)
 
     def test_starts_in_cyan_from_all_wrong(self):
-        annotated = run_annotated(
+        annotated = run_annotated_batch(
             FETProtocol(40),
             800,
             AllWrong(),
+            1,
             max_rounds=1000,
             seed=2,
-        )
+        )[0]
         assert annotated.domains[0].family == "Cyan"
 
 

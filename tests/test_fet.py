@@ -7,11 +7,11 @@ import math
 import numpy as np
 import pytest
 
-from conftest import scripted_sampler
-from repro.core.engine import run_protocol
+from conftest import scripted_sampler, step_scalar
+from repro.core.batch import run_protocol
 from repro.core.population import make_population
 from repro.core.rng import make_rng
-from repro.core.sampling import IndexSampler
+from repro.core.sampling import BatchedIndexSampler
 from repro.initializers.standard import AllCorrect, AllWrong, BernoulliRandom
 from repro.protocols.fet import DEFAULT_SAMPLE_CONSTANT, FETProtocol, ell_for
 
@@ -159,7 +159,12 @@ class TestConvergence:
         state = proto.init_state(n, rng)
         AllWrong()(pop, proto, state, rng)
         result = run_protocol(
-            proto, pop, 1500, sampler=IndexSampler(exclude_self=True), rng=rng, state=state
+            proto,
+            pop,
+            1500,
+            sampler=BatchedIndexSampler(exclude_self=True),
+            rng=rng,
+            state=state,
         )
         assert result.converged
 
@@ -173,13 +178,11 @@ class TestConvergence:
         AllWrong()(pop, proto, state, rng)
         result = run_protocol(proto, pop, 2000, rng=rng, state=state)
         assert result.converged
-        # Continue for 100 extra rounds manually: opinion vector must not move.
-        from repro.core.engine import SynchronousEngine
-
-        engine = SynchronousEngine(proto, pop, rng=rng, state=state)
+        # Continue for 100 extra rounds of the scalar rule from the final
+        # opinions and state: the opinion vector must not move.
         for _ in range(100):
-            record = engine.step()
-            assert record.x_after == 1.0
+            step_scalar(proto, pop, state, rng)
+            assert pop.fraction_ones() == 1.0
 
 
 class TestFusedBatchStep:

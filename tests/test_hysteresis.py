@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from conftest import scripted_sampler
-from repro.core.engine import run_protocol
+from repro.core.batch import run_protocol
 from repro.core.population import make_population
 from repro.core.rng import make_rng
 from repro.initializers.standard import AllWrong

@@ -5,8 +5,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.core.batch import BatchedPopulation
-from repro.core.engine import run_protocol
+from conftest import run_scalar_reference
+from repro.core.batch import BatchedPopulation, run_protocol
 from repro.core.population import make_majority_population, make_population
 from repro.core.rng import make_rng
 from repro.experiments.harness import run_trials
@@ -279,11 +279,12 @@ class TestAdversarialBatched:
         assert stats.engine == "batched"
         assert stats.successes == 6
 
-    def test_batched_matches_sequential_profile(self):
-        """Same construction, both engines: equal success profile (the
-        batched path is exact in distribution, not bitwise)."""
+    def test_batched_matches_scalar_reference_profile(self):
+        """Same construction, vectorized and scalar rule: equal success
+        profile (exact in distribution, not bitwise)."""
         kwargs = dict(trials=5, max_rounds=1500, seed=7)
         for init in (ZeroSpeedCenter(), TwoRoundTarget(0.5, 0.5)):
-            seq = run_trials(lambda: FETProtocol(30), 300, init, engine="sequential", **kwargs)
+            # reference: scalar init_state + apply per trial, scalar rule
+            ref = run_scalar_reference(lambda: FETProtocol(30), 300, init, **kwargs)
             bat = run_trials(lambda: FETProtocol(30), 300, init, engine="batched", **kwargs)
-            assert seq.successes == bat.successes == 5
+            assert ref.successes == bat.successes == 5

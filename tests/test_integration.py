@@ -8,10 +8,10 @@ import pytest
 from repro.analysis.domains import DomainPartition
 from repro.analysis.markov import ExactPairChain
 from repro.analysis.theory import theorem1_bound
-from repro.core.engine import run_protocol
+from repro.core.batch import run_protocol
 from repro.core.population import make_majority_population, make_population
 from repro.core.rng import make_rng, spawn_rngs
-from repro.core.sampling import IndexSampler
+from repro.core.sampling import BatchedIndexSampler
 from repro.experiments.harness import run_trials
 from repro.initializers.adversarial import FrozenUnanimity, TwoRoundTarget, ZeroSpeedCenter
 from repro.initializers.standard import AllWrong, BernoulliRandom, ExactFraction
@@ -176,7 +176,7 @@ class TestIndexSamplerEndToEnd:
             proto,
             pop,
             3000,
-            sampler=IndexSampler(exclude_self=True),
+            sampler=BatchedIndexSampler(exclude_self=True),
             rng=rng,
             state=state,
         )

@@ -5,9 +5,9 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from conftest import step_scalar
 from repro.analysis.drift import drift_g
 from repro.analysis.markov import ExactPairChain, next_count_distribution
-from repro.core.engine import SynchronousEngine
 from repro.core.population import make_population
 from repro.core.rng import spawn_rngs
 from repro.protocols.fet import FETProtocol
@@ -108,12 +108,11 @@ class TestChainMatchesSimulation:
             # All-wrong with counters matching x_{t-1} = 1/n, i.e. the (1, 1)
             # chain state: prev_count ~ Binomial(ell, 1/n).
             state = {"prev_count": rng.binomial(ell, 1 / n, size=n).astype(np.int64)}
-            engine = SynchronousEngine(proto, pop, rng=rng, state=state)
             rounds = 0
             # Absorption at (n, n): two consecutive all-ones rounds.
             prev_all_ones = pop.at_correct_consensus()
             while rounds < 3000:
-                engine.step()
+                step_scalar(proto, pop, state, rng)
                 rounds += 1
                 now_all_ones = pop.at_correct_consensus()
                 if prev_all_ones and now_all_ones:

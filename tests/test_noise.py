@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.core.engine import SynchronousEngine
+from conftest import step_scalar
 from repro.core.noise import NoisyCountSampler, noisy_fraction
 from repro.core.population import make_population
 from repro.core.rng import make_rng
@@ -74,12 +74,10 @@ class TestNoisyFET:
         pop = make_population(n, 1)
         pop.set_opinions(np.ones(n, dtype=np.uint8))
         state = {"prev_count": np.full(n, 30, dtype=np.int64)}
-        engine = SynchronousEngine(
-            proto, pop, sampler=NoisyCountSampler(0.2), rng=make_rng(3), state=state
-        )
+        sampler, rng = NoisyCountSampler(0.2), make_rng(3)
         fractions = []
         for _ in range(50):
-            engine.step()
+            step_scalar(proto, pop, state, rng, sampler)
             fractions.append(pop.fraction_ones())
         assert min(fractions) < 0.5  # consensus collapsed at least once
         assert max(fractions) > 0.9  # ... and was re-approached: oscillation
@@ -95,12 +93,10 @@ class TestNoisyFET:
         pop = make_population(n, 1)
         pop.set_opinions(np.ones(n, dtype=np.uint8))
         state = {"prev_count": np.full(n, ell, dtype=np.int64)}
-        engine = SynchronousEngine(
-            proto, pop, sampler=NoisyCountSampler(1e-5), rng=make_rng(4), state=state
-        )
+        sampler, rng = NoisyCountSampler(1e-5), make_rng(4)
         fractions = []
         for _ in range(50):
-            engine.step()
+            step_scalar(proto, pop, state, rng, sampler)
             fractions.append(pop.nonsource_correct_fraction())
         assert min(fractions) < 0.9  # collapsed at least once
         assert max(fractions) > 0.95  # and recovered: oscillation, not death

@@ -13,10 +13,10 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import step_scalar
 from repro.analysis.coins import compare_binomials
 from repro.analysis.domains import Domain, DomainPartition, YellowArea
 from repro.analysis.drift import drift_g
-from repro.core.engine import SynchronousEngine
 from repro.core.population import make_population
 from repro.core.rng import make_rng
 from repro.protocols.fet import FETProtocol
@@ -136,9 +136,8 @@ class TestEngineProperties:
         rng = make_rng(seed)
         state = proto.randomize_state(n, rng)
         pop.adversarial_opinions(rng.integers(0, 2, size=n).astype(np.uint8))
-        engine = SynchronousEngine(proto, pop, rng=rng, state=state)
         for _ in range(rounds):
-            engine.step()
+            step_scalar(proto, pop, state, rng)
             assert pop.opinions[pop.source_mask].tolist() == [1]
             assert np.isin(pop.opinions, (0, 1)).all()
             assert state["prev_count"].min() >= 0
@@ -155,7 +154,7 @@ class TestEngineProperties:
         pop = make_population(n, 1)
         pop.set_opinions(np.ones(n, dtype=np.uint8))
         state = {"prev_count": np.full(n, 5, dtype=np.int64)}
-        engine = SynchronousEngine(proto, pop, rng=make_rng(seed), state=state)
+        rng = make_rng(seed)
         for _ in range(5):
-            engine.step()
+            step_scalar(proto, pop, state, rng)
             assert pop.at_correct_consensus()

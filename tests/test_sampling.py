@@ -5,9 +5,15 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.core.batch import BatchedPopulation
 from repro.core.population import make_population
 from repro.core.rng import make_rng
-from repro.core.sampling import BinomialCountSampler, IndexSampler
+from repro.core.sampling import (
+    BatchedBinomialSampler,
+    BatchedIndexSampler,
+    BinomialCountSampler,
+    IndexSampler,
+)
 
 
 def population_with_fraction(n: int, x: float):
@@ -130,6 +136,95 @@ class TestDistributionalAgreement:
         hist_fast = np.bincount(fast, minlength=ell + 1) / fast.size
         hist_lit = np.bincount(literal, minlength=ell + 1) / literal.size
         assert np.abs(hist_fast - hist_lit).max() < 0.03
+
+
+class TestBatchedIndexSampler:
+    """The literal batched sampler against the fast batched one and against
+    its exact ``exclude_self`` law."""
+
+    def test_count_means_agree(self):
+        batch = BatchedPopulation.from_population(population_with_fraction(2000, 0.3), 2)
+        ell = 15
+        fast = BatchedBinomialSampler().counts(batch, ell, make_rng(10))
+        literal = BatchedIndexSampler().counts(batch, ell, make_rng(11))
+        assert literal.shape == (2, 2000)
+        assert fast.mean() == pytest.approx(literal.mean(), abs=0.25)
+
+    def test_count_variances_agree(self):
+        batch = BatchedPopulation.from_population(population_with_fraction(2000, 0.3), 2)
+        ell = 15
+        fast = BatchedBinomialSampler().counts(batch, ell, make_rng(12))
+        literal = BatchedIndexSampler().counts(batch, ell, make_rng(13))
+        assert fast.var() == pytest.approx(literal.var(), rel=0.2)
+
+    def test_histograms_agree(self):
+        batch = BatchedPopulation.from_population(population_with_fraction(5000, 0.5), 2)
+        ell = 8
+        fast = BatchedBinomialSampler().counts(batch, ell, make_rng(14)).ravel()
+        literal = BatchedIndexSampler().counts(batch, ell, make_rng(15)).ravel()
+        hist_fast = np.bincount(fast, minlength=ell + 1) / fast.size
+        hist_lit = np.bincount(literal, minlength=ell + 1) / literal.size
+        assert np.abs(hist_fast - hist_lit).max() < 0.03
+
+    def test_rows_sample_within_their_own_replica(self):
+        # Row 0 all zeros but the source, row 1 all ones: counts never mix.
+        pop = make_population(50, 1)
+        batch = BatchedPopulation.from_population(pop, 2)
+        batch.adversarial_opinions(np.stack([np.zeros(50), np.ones(50)]).astype(np.uint8))
+        counts = BatchedIndexSampler().counts(batch, 6, make_rng(16))
+        assert (counts[1] == 6).all()
+        assert counts[0].max() <= 6 and counts[0].mean() < 1
+
+    def test_exclude_self_never_draws_self(self):
+        # Replica r holds a single 1, at agent r + 1 (the source prefers 0):
+        # with ℓ = 200 ≫ n every other agent sees it, but agent r + 1 itself
+        # must never count its own opinion.
+        n, replicas, ell = 20, 5, 200
+        batch = BatchedPopulation.from_population(make_population(n, 0), replicas)
+        opinions = np.zeros((replicas, n), dtype=np.uint8)
+        opinions[np.arange(replicas), np.arange(replicas) + 1] = 1
+        batch.adversarial_opinions(opinions)
+        sampler = BatchedIndexSampler(exclude_self=True)
+        rng = make_rng(17)
+        for _ in range(20):
+            counts = sampler.counts(batch, ell, rng)
+            assert (counts[np.arange(replicas), np.arange(replicas) + 1] == 0).all()
+            others = counts.copy()
+            others[np.arange(replicas), np.arange(replicas) + 1] = 1
+            assert (others > 0).all()
+
+    def test_exclude_self_per_agent_means(self):
+        # Each of an agent's ℓ draws is uniform over the n - 1 others, so its
+        # count is Binomial(ℓ, (k - o_i) / (n - 1)) with k the replica's
+        # one-count and o_i the agent's own bit.
+        n, ell, draws = 40, 50, 300
+        pop = make_population(n, 1)
+        batch = BatchedPopulation.from_population(pop, 3)
+        opinions = np.zeros((3, n), dtype=np.uint8)
+        opinions[0, :1] = 1  # the source alone
+        opinions[1, ::2] = 1
+        opinions[2, :-3] = 1
+        batch.adversarial_opinions(opinions)
+        sampler = BatchedIndexSampler(exclude_self=True)
+        rng = make_rng(18)
+        mean = np.mean([sampler.counts(batch, ell, rng) for _ in range(draws)], axis=0)
+        k = batch.count_ones()[:, None]
+        p = (k - batch.opinions) / (n - 1)
+        se = np.sqrt(ell * p * (1 - p) / draws)
+        assert (np.abs(mean - ell * p) <= 5 * se + 1e-12).all()
+
+    def test_scalar_side_matches(self):
+        for exclude_self in (False, True):
+            scalar = BatchedIndexSampler(exclude_self=exclude_self).scalar()
+            assert isinstance(scalar, IndexSampler)
+            assert scalar.exclude_self is exclude_self
+
+    def test_one_replica_consumes_the_scalar_stream(self):
+        pop = population_with_fraction(300, 0.4)
+        batch = BatchedPopulation.from_population(pop, 1)
+        batched = BatchedIndexSampler(exclude_self=True).count_blocks(batch, 7, 2, make_rng(19))
+        scalar = IndexSampler(exclude_self=True).count_blocks(pop, 7, 2, make_rng(19))
+        assert np.array_equal(batched[:, 0, :], scalar)
 
 
 class TestSparseDrawTier:

@@ -7,7 +7,9 @@ import json
 import numpy as np
 import pytest
 
+from conftest import patch_scalar_reference
 from repro.experiments.harness import TrialStats
+from repro.initializers.standard import AllWrong
 from repro.sweep import (
     Cell,
     ProcessPoolDispatcher,
@@ -311,7 +313,10 @@ class TestRunSweep:
         assert rows[0]["noise"] == 0.0 and rows[1]["noise"] == 0.2
         assert rows[0]["successes"] == 3
 
-    def test_theta_measure_rows(self):
+    def test_theta_measure_rows(self, monkeypatch):
+        # The scalar rule, one replica at a time, through the generic
+        # step_batch fallback, from per-trial scalar starts.
+        patch_scalar_reference(monkeypatch, AllWrong)
         spec = SweepSpec(
             axes={
                 "protocol": [{"name": "fet", "ell": 20}],
@@ -322,7 +327,7 @@ class TestRunSweep:
             trials=2,
             max_rounds=500,
             stability_rounds=1,
-            engine="sequential",
+            engine="batched",
             measure={"kind": "theta", "theta": 0.9, "settle_window": 5},
             seed=5,
         )

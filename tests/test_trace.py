@@ -1,11 +1,11 @@
 """Trace subsystem: recorders, measures, engine integration, migrations.
 
 The contract under test: the batched engine plus a trace recorder must
-reproduce, per replica, exactly what a per-trial sequential engine would have
-logged — trajectories trimmed to executed rounds, rows frozen at retirement,
-flip totals preserved under stride, ring windows identical to the full
-trace's tail — and the vectorized trace measures must agree with the
-sequential per-step measurement logic on identical per-replica streams.
+reproduce, per replica, exactly what stepping that replica's scalar rule by
+hand would have logged — trajectories trimmed to executed rounds, rows
+frozen at retirement, flip totals preserved under stride, ring windows
+identical to the full trace's tail — and the vectorized trace measures must
+agree with the per-step measurement logic on identical per-replica streams.
 """
 
 from __future__ import annotations
@@ -13,9 +13,9 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.core.batch import BatchedEngine, BatchedPopulation
+from conftest import patch_scalar_reference, step_scalar
+from repro.core.batch import BatchedEngine, BatchedPopulation, run_protocol
 from repro.core.counts import CountEngine, make_count_population
-from repro.core.engine import SynchronousEngine
 from repro.core.population import make_population
 from repro.core.protocol import Protocol
 from repro.experiments.harness import run_trials
@@ -43,7 +43,6 @@ class GrowOneProtocol(Protocol):
     """
 
     name = "grow-one"
-    batch_vectorized = True
     counts_supported = True
 
     def init_state(self, n, rng):
@@ -166,34 +165,46 @@ class TestEngineRecording:
             assert (trace.flips[r, t_con + 1 :] == 0).all()
             assert trace.flips[r, 0] == 0
 
-    def test_to_run_results_matches_sequential_exactly(self):
+    def test_to_run_results_matches_scalar_steps_exactly(self):
         n, replicas = 8, 5
         recorder = FullTrace(record_flips=True)
         engine = _staggered_engine(n, replicas)
         result = engine.run(100, stability_rounds=1, recorder=recorder)
         results = recorder.trace().to_run_results(result)
         for r, batched in enumerate(results):
+            # reference: step replica r's scalar rule by hand until the
+            # stability-1 window closes
             pop = make_population(n, 1)
             pop.opinions[: r + 1] = 1
             pop.invalidate_cache()
-            sequential = SynchronousEngine(GrowOneProtocol(), pop, rng=0).run(
-                100, stability_rounds=1, record_flips=True
-            )
-            assert batched.converged == sequential.converged
-            assert batched.rounds == sequential.rounds
-            assert np.array_equal(batched.trajectory, sequential.trajectory)
-            assert np.array_equal(batched.flips, sequential.flips)
+            trajectory, flips = [pop.fraction_ones()], []
+            while not pop.at_correct_consensus():
+                before = pop.opinions.copy()
+                step_scalar(GrowOneProtocol(), pop, {}, np.random.default_rng(0))
+                trajectory.append(pop.fraction_ones())
+                flips.append(int(np.count_nonzero(pop.opinions != before)))
+            assert batched.converged
+            assert batched.rounds == len(flips)
+            assert np.array_equal(batched.trajectory, trajectory)
+            assert np.array_equal(batched.flips, flips)
 
-    def test_sequential_engine_recorder_matches_run_result(self):
-        pop = make_population(200, 1)
-        rng_seed = 3
+    def test_run_protocol_matches_one_replica_trace(self):
+        # run_protocol is a one-replica batched run: same seed, same
+        # trajectory and flip log as driving the engine and recorder by hand.
         protocol = FETProtocol(24)
-        state = protocol.init_state(200, np.random.default_rng(rng_seed))
+        state = protocol.init_state(200, np.random.default_rng(3))
+        result = run_protocol(
+            protocol, make_population(200, 1), 400, rng=3, state=dict(state), record_flips=True
+        )
         recorder = FullTrace(record_flips=True)
-        engine = SynchronousEngine(protocol, pop, rng=rng_seed, state=state)
-        result = engine.run(400, recorder=recorder, record_flips=True)
+        batch = BatchedPopulation.from_population(make_population(200, 1), 1)
+        states = {key: value[None].copy() for key, value in state.items()}
+        engine = BatchedEngine(protocol, batch, rng=3, states=states)
+        outcome = engine.run(400, recorder=recorder)
         trace = recorder.trace()
         assert trace.replicas == 1
+        assert result.converged == bool(outcome.converged[0])
+        assert result.rounds == int(outcome.rounds[0])
         assert np.array_equal(trace.x[0], result.trajectory)
         assert np.array_equal(trace.flips[0, 1:], result.flips)
 
@@ -222,8 +233,8 @@ class TestEngineRecording:
 
     @pytest.mark.parametrize("engine_kind", ["batched", "counts"])
     def test_linger_may_exceed_max_rounds(self, engine_kind):
-        # Lock lands on the final budgeted round; the settle window runs past
-        # max_rounds exactly like sequential settle stepping does.
+        # Lock lands on the final budgeted round; the settle window still
+        # runs its full length past max_rounds.
         engine = _grow_one_engine(engine_kind, 8, 1)
         result = engine.run(
             3,
@@ -409,12 +420,12 @@ class TestMeasures:
 
 
 class TestThetaAgreement:
-    """Settle/θ trace measures vs the sequential per-step logic."""
+    """Settle/θ trace measures vs the per-step θ/settle logic."""
 
     def test_exact_on_identical_streams(self):
-        # Record noisy sequential FET runs round by round; the vectorized
+        # Record noisy scalar-rule FET runs round by round; the vectorized
         # trace measures and a plain per-trial reimplementation of the
-        # sequential θ/settle logic must agree exactly on the same streams.
+        # θ/settle logic must agree exactly on the same streams.
         from repro.core.noise import NoisyCountSampler
 
         theta, window, max_rounds = 0.9, 8, 120
@@ -425,12 +436,10 @@ class TestThetaAgreement:
             rng = np.random.default_rng(seed)
             state = protocol.init_state(200, rng)
             AllWrong()(pop, protocol, state, rng)
-            engine = SynchronousEngine(
-                protocol, pop, sampler=NoisyCountSampler(0.1), rng=rng, state=state
-            )
+            sampler = NoisyCountSampler(0.1)
             levels = [pop.nonsource_correct_fraction()]
             for _ in range(max_rounds):
-                engine.step()
+                step_scalar(protocol, pop, state, rng, sampler)
                 levels.append(pop.nonsource_correct_fraction())
             curves.append(levels)
         values = np.asarray(curves)
@@ -440,14 +449,14 @@ class TestThetaAgreement:
         settle = window_mean_after(values, rounds, hits, window)
 
         for r in range(values.shape[0]):
-            # reference: the sequential measure's own definition
+            # reference: the θ/settle measure's own definition
             hit = next((t for t in range(max_rounds + 1) if values[r, t] >= theta), -1)
             assert hits[r] == hit
             if hit >= 0 and hit + 1 <= max_rounds:
                 expected = float(np.mean(values[r, hit + 1 : hit + 1 + window]))
                 assert settle[r] == pytest.approx(expected, abs=1e-12)
 
-    def test_sweep_theta_batched_vs_sequential(self):
+    def test_sweep_theta_batched_vs_scalar_reference(self, monkeypatch):
         kwargs = dict(
             axes={
                 "protocol": [{"name": "fet", "ell": 24}],
@@ -462,15 +471,20 @@ class TestThetaAgreement:
             measure={"kind": "theta", "theta": 0.9, "settle_window": 10},
         )
         rows = {}
-        for engine in ("batched", "sequential"):
-            out = run_sweep(SweepSpec(engine=engine, **kwargs))
+        for rule in ("vectorized", "scalar"):
+            with monkeypatch.context() as patch:
+                if rule == "scalar":
+                    # the reference: FET's scalar rule, one replica at a
+                    # time, from per-trial scalar starts
+                    patch_scalar_reference(patch, AllWrong)
+                out = run_sweep(SweepSpec(engine="batched", **kwargs))
             row = out.rows()[0]
-            assert row["engine"] == engine
-            rows[engine] = row
-        # noisy FET reaches theta essentially always; both paths must agree
-        assert rows["batched"]["successes"] == rows["sequential"]["successes"] == 30
-        assert rows["batched"]["settle"] == pytest.approx(rows["sequential"]["settle"], abs=0.02)
-        assert rows["batched"]["median"] == pytest.approx(rows["sequential"]["median"], abs=3)
+            assert row["engine"] == "batched"
+            rows[rule] = row
+        # noisy FET reaches theta essentially always; both rules must agree
+        assert rows["vectorized"]["successes"] == rows["scalar"]["successes"] == 30
+        assert rows["vectorized"]["settle"] == pytest.approx(rows["scalar"]["settle"], abs=0.02)
+        assert rows["vectorized"]["median"] == pytest.approx(rows["scalar"]["median"], abs=3)
 
     def test_theta_cells_default_to_batched(self):
         spec = SweepSpec(
@@ -502,20 +516,21 @@ class TestKeepResultsMigration:
             assert result.trajectory.shape[0] == result.rounds + 2
 
     def test_auto_keep_results_falls_back_without_vectorization(self):
-        # Since the clock-sync vectorization every shipped protocol is
-        # batch-vectorized, so the fallback is exercised by masking the flag.
+        # A protocol without a vectorized step_batch rides the generic
+        # per-replica fallback on the batched engine; every shipped protocol
+        # is vectorized, so the fallback is forced here.
         from repro.protocols.clock_sync import ClockSyncProtocol
 
         def factory():
             protocol = ClockSyncProtocol(64, 4)
-            protocol.batch_vectorized = False
+            protocol.step_batch = lambda *args: Protocol.step_batch(protocol, *args)
             return protocol
 
         stats = run_trials(
             factory, 64, AllWrong(),
             trials=2, max_rounds=150, seed=4, keep_results=True,
         )
-        assert stats.engine == "sequential"
+        assert stats.engine == "batched"
         assert len(stats.results) == 2
 
     def test_clock_sync_traces_ride_the_batched_engine(self):
@@ -538,18 +553,21 @@ class TestKeepResultsMigration:
 
 
 class TestTransitionsMigration:
-    def test_batched_matches_sequential_structure(self):
+    def test_batched_matches_scalar_reference_structure(self, monkeypatch):
         kwargs = dict(
             trials_per_init=4, max_rounds=2000, seed=0, delta=0.05
         )
         n, ell = 500, ell_for(500)
-        batched = collect_transitions(n, ell, [AllWrong()], engine="batched", **kwargs)
-        sequential = collect_transitions(n, ell, [AllWrong()], engine="sequential", **kwargs)
-        assert batched.runs == sequential.runs == 4
-        assert batched.converged_runs == sequential.converged_runs == 4
+        batched = collect_transitions(n, ell, [AllWrong()], **kwargs)
+        # the reference: FET's scalar rule, one replica at a time, from
+        # per-trial scalar starts
+        patch_scalar_reference(monkeypatch, AllWrong)
+        scalar = collect_transitions(n, ell, [AllWrong()], **kwargs)
+        assert batched.runs == scalar.runs == 4
+        assert batched.converged_runs == scalar.converged_runs == 4
         # all-wrong starts in Cyan on both paths, and the chain passes
         # through the same families on its way to Green
-        assert set(batched.families()) == set(sequential.families())
+        assert set(batched.families()) == set(scalar.families())
         for family in batched.dwell_times:
             assert batched.max_dwell(family) >= 1
 
@@ -561,11 +579,13 @@ class TestTransitionsMigration:
         )
         assert summary.runs == 2 and summary.converged_runs == 2
 
-    def test_rejects_unknown_engine(self):
-        with pytest.raises(ValueError):
+    def test_engine_keyword_removed(self):
+        # Transitions always record on the batched engine; there is no
+        # engine choice left to make.
+        with pytest.raises(TypeError, match="engine"):
             collect_transitions(
                 300, 20, [AllWrong()], trials_per_init=1, max_rounds=10, seed=0,
-                engine="turbo",
+                engine="batched",
             )
 
 
@@ -601,15 +621,15 @@ class TestSweepTraceMeasure:
         assert payload["recorded_columns"] <= 8
 
     def test_trace_measure_rejects_sequential_engine(self):
-        spec = SweepSpec(
-            axes={"protocol": [{"name": "fet", "ell": 20}], "n": [100]},
-            trials=2,
-            max_rounds=200,
-            engine="sequential",
-            measure={"kind": "trace"},
-        )
+        # The per-trial engine is gone: the spec itself rejects the value.
         with pytest.raises(ValueError, match="sequential"):
-            run_sweep(spec)
+            SweepSpec(
+                axes={"protocol": [{"name": "fet", "ell": 20}], "n": [100]},
+                trials=2,
+                max_rounds=200,
+                engine="sequential",
+                measure={"kind": "trace"},
+            )
 
     def test_measure_registry_contents(self):
         kinds = measure_kinds()

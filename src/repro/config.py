@@ -70,7 +70,10 @@ __all__ = [
 #: Schema 2: ``engine="auto"`` cells with the index sampler run on the
 #: batched engine (schema 1 ran them per trial), so the same key would
 #: otherwise name results computed on different streams.
-RUN_SCHEMA = 2
+#: Schema 3: crafted-population cells draw every start from one vectorized
+#: init stream (schema 2 built them per trial on spawned streams), and
+#: ``population={"name": "standard"}`` is normalized to ``None``.
+RUN_SCHEMA = 3
 
 #: The engine policies a run spec (and a sweep spec) accepts.
 ENGINES = ("auto", "batched", "counts")
@@ -172,9 +175,11 @@ class RunSpec:
         Population-layout component ``{"name": ..., params}`` (population
         registry), or ``None`` for the standard source-pinned layout built
         from the shape fields. ``{"name": "standard"}`` is the same layout
-        declared explicitly; ``{"name": "majority", "k0": ..., "k1": ...}``
-        builds the Section-1.2 majority variant (crafted layouts force the
-        per-trial population path and are rejected by the counts engine).
+        declared explicitly and is normalized to ``None`` (one layout, one
+        store key, one derived seed);
+        ``{"name": "majority", "k0": ..., "k1": ...}`` builds the
+        Section-1.2 majority variant. The layout is a template every trial
+        shares; crafted layouts are rejected by the counts engine.
     seed:
         Base RNG seed of the condition. Sweep cells carry a derived seed.
     """
@@ -216,6 +221,8 @@ class RunSpec:
             raise ValueError(
                 f"num_sources must be in [1, n), got {self.num_sources} with n={self.n}"
             )
+        if self.population == {"name": "standard"}:
+            object.__setattr__(self, "population", None)
 
     # --------------------------------------------------------- serialization
 
@@ -322,18 +329,13 @@ class RunSpec:
 
         return build_initializer(self.initializer)
 
-    def population_factory(self) -> Callable[[], "PopulationState"] | None:
-        """Factory for the declared population layout, or ``None`` when the
-        engines should build the standard layout natively from the shape
-        fields (no component declared, or the explicit ``standard`` one —
-        resolving ``standard`` to "no override" keeps the vectorized
-        batch-initialization and counts fast paths available)."""
-        if self.population is None:
-            return None
-        from .sweep.registry import population_factory
+    def build_population(self) -> "PopulationState":
+        """The declared population layout (``standard`` when none is
+        declared): the template every trial's batch row is tiled from."""
+        from .sweep.registry import build_population
 
-        return population_factory(
-            self.population,
+        return build_population(
+            self.population or {"name": "standard"},
             self.n,
             num_sources=self.num_sources,
             correct_opinion=self.correct_opinion,
@@ -365,16 +367,15 @@ class RunSpec:
         protocol_factory: Callable[[], "Protocol"] | None = None,
         initializer: "Initializer | None" = None,
         batched_sampler: "BatchedSampler | None" = None,
-        population_factory: Callable[[], "PopulationState"] | None = None,
     ) -> "TrialStats":
         """Run the condition's batch of trials and aggregate the outcomes.
 
         The keyword overrides exist for the legacy factory-kwargs adapters
         (:func:`~repro.experiments.harness.run_trials`) and for components
-        with no declarative form (crafted populations, scripted samplers);
-        each override replaces the corresponding declared component. All
-        execution — engine choice, sampler pairing, lock-step stepping —
-        happens in the harness core behind this method.
+        with no declarative form (third-party initializers, scripted
+        samplers); each override replaces the corresponding declared
+        component. All execution — engine choice, sampler pairing,
+        lock-step stepping — happens in the harness core behind this method.
         """
         from .experiments.harness import execute_run
 
@@ -384,7 +385,6 @@ class RunSpec:
             protocol_factory=protocol_factory,
             initializer=initializer,
             batched_sampler=batched_sampler,
-            population_factory=population_factory,
         )
 
     def batched_engine(

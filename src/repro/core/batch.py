@@ -125,8 +125,7 @@ class BatchedPopulation:
         pin_each_round: bool,
     ) -> "BatchedPopulation":
         """Wrap arrays known to satisfy the invariants, skipping the O(R·n)
-        validation — for internal hot paths (row selection, stacking rows of
-        already-validated populations)."""
+        validation — for internal hot paths (row selection, copies)."""
         batch = object.__new__(cls)
         batch.opinions = opinions
         batch.source_mask = source_mask
@@ -147,34 +146,6 @@ class BatchedPopulation:
             source_preferences=population.source_preferences.copy(),
             correct_opinion=population.correct_opinion,
             pin_each_round=population.pin_each_round,
-        )
-
-    @classmethod
-    def from_populations(cls, populations: Sequence[PopulationState]) -> "BatchedPopulation":
-        """Stack independently initialized populations of one configuration.
-
-        Every population must share the source structure — the batch models R
-        trials of the *same* system, only the random initial opinions differ.
-        """
-        if not populations:
-            raise ValueError("need at least one population")
-        first = populations[0]
-        for pop in populations[1:]:
-            if (
-                pop.n != first.n
-                or pop.correct_opinion != first.correct_opinion
-                or pop.pin_each_round != first.pin_each_round
-                or not np.array_equal(pop.source_mask, first.source_mask)
-                or not np.array_equal(pop.source_preferences, first.source_preferences)
-            ):
-                raise ValueError("all replicas must share the same source structure")
-        # Rows come from already-validated PopulationStates; skip re-validation.
-        return cls._trusted(
-            opinions=np.stack([pop.opinions for pop in populations]),
-            source_mask=first.source_mask.copy(),
-            source_preferences=first.source_preferences.copy(),
-            correct_opinion=first.correct_opinion,
-            pin_each_round=first.pin_each_round,
         )
 
     # ------------------------------------------------------------------ views

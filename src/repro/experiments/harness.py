@@ -20,11 +20,12 @@ scalar/batched observation models. Everything above it speaks
 Execution engines (``engine`` policy):
 
 * ``"auto"`` (default) and ``"batched"`` — all trials as one ``(R, n)``
-  system on the :class:`~repro.core.batch.BatchedEngine`: initial
-  configurations are built (vectorized, or per trial on spawned streams for
-  crafted layouts), then all replicas advance in lock-step and retire
-  individually on convergence. Protocols without a vectorized
-  ``step_batch`` ride the generic per-replica fallback. Per-trial
+  system on the :class:`~repro.core.batch.BatchedEngine`: the declared
+  population layout is tiled into ``R`` rows and every start is drawn in one
+  ``init_state_batch`` + ``apply_batch`` call (:func:`prepare_batch`), then
+  all replicas advance in lock-step and retire individually on convergence.
+  Protocols without a vectorized ``step_batch`` (and initializers without a
+  vectorized ``apply_batch``) ride the generic per-replica fallback. Per-trial
   trajectory consumers (``keep_results=True``) are served by attaching a
   :class:`~repro.trace.FullTrace` recorder and converting the recorded
   ``(R, T)`` matrix back into per-trial :class:`RunResult` objects.
@@ -50,9 +51,9 @@ from typing import Callable
 import numpy as np
 
 from ..config import RunSpec
-from ..core.batch import BatchedEngine, BatchedPopulation, stack_states
+from ..core.batch import BatchedEngine, BatchedPopulation
 from ..core.counts import CountEngine, CountPopulation, make_count_population
-from ..core.population import PopulationState, make_population
+from ..core.population import PopulationState
 from ..core.protocol import Protocol, ProtocolState
 from ..core.records import RunResult
 from ..core.rng import spawn_rngs
@@ -126,7 +127,6 @@ def run_trials(
     max_rounds: int,
     seed: int,
     correct_opinion: int = 1,
-    population_factory: Callable[[], PopulationState] | None = None,
     stability_rounds: int = 2,
     keep_results: bool = False,
     engine: str = "auto",
@@ -142,9 +142,9 @@ def run_trials(
     observation models via ``noise``/``sampler``) without any factory
     plumbing.
 
-    Each trial builds a fresh population (factories keep trials independent
-    even for stateful protocols), applies ``initializer`` under its own RNG
-    stream, and runs to convergence or ``max_rounds``. ``trials=0`` is
+    The trials are the rows of one lock-step batch: the standard layout is
+    tiled ``trials`` times, ``initializer`` draws every start from one
+    stream, and each row runs to convergence or ``max_rounds``. ``trials=0`` is
     allowed and yields an empty aggregate (no successes, empty ``times``,
     NaN summaries) without touching either engine. ``batched_sampler``
     overrides the observation model (e.g.
@@ -170,7 +170,6 @@ def run_trials(
         protocol_factory=protocol_factory,
         initializer=initializer,
         batched_sampler=batched_sampler,
-        population_factory=population_factory,
     )
 
 
@@ -181,7 +180,6 @@ def execute_run(
     protocol_factory: Callable[[], Protocol] | None = None,
     initializer: Initializer | None = None,
     batched_sampler: BatchedSampler | None = None,
-    population_factory: Callable[[], PopulationState] | None = None,
 ) -> TrialStats:
     """Execution core of :meth:`RunSpec.execute` (see the module docstring).
 
@@ -190,28 +188,16 @@ def execute_run(
     for components with no declarative form.
     """
     counts = spec.engine == "counts"
-    if counts and population_factory is not None:
+    if counts and spec.population is not None:
         raise ValueError(
-            "population_factory builds a per-agent layout; the counts engine "
-            "tracks state counts only — use engine='batched'"
+            f"population {spec.population['name']!r} is a crafted "
+            "per-agent layout; the counts engine only models the "
+            "standard source-pinned population"
         )
     if protocol_factory is None:
         protocol_factory = spec.protocol_factory()
     if initializer is None:
         initializer = spec.build_initializer()
-    if population_factory is None and spec.population is not None:
-        population_factory = spec.population_factory()
-        if counts and population_factory is not None:
-            raise ValueError(
-                f"population {spec.population['name']!r} is a crafted "
-                "per-agent layout; the counts engine only models the "
-                "standard source-pinned population"
-            )
-    # The declared population shape (n, num_sources, correct_opinion) is
-    # built natively by both engines; a declarative ``population``
-    # component resolves to a factory above (``standard`` resolves to None,
-    # i.e. the native path), and the keyword stays the escape hatch for
-    # layouts with no declarative form.
     max_rounds = spec.resolved_max_rounds()
     protocol = protocol_factory()
     if spec.trials == 0:
@@ -235,11 +221,7 @@ def execute_run(
         )
     else:
         engine = make_batched_engine(
-            spec,
-            protocol=protocol,
-            initializer=initializer,
-            batched_sampler=batched_sampler,
-            population_factory=population_factory,
+            spec, protocol=protocol, initializer=initializer, batched_sampler=batched_sampler
         )
     return _run_lockstep_trials(
         engine, spec, initializer, max_rounds=max_rounds, keep_results=keep_results
@@ -248,14 +230,11 @@ def execute_run(
 
 def prepare_batch(
     protocol: Protocol,
-    n: int,
+    population: PopulationState,
     initializer: Initializer,
     *,
     trials: int,
     seed: int,
-    correct_opinion: int = 1,
-    num_sources: int = 1,
-    population_factory: Callable[[], PopulationState] | None = None,
 ) -> tuple[BatchedPopulation, ProtocolState, np.random.Generator]:
     """Build the initialized ``(R, n)`` batch for ``trials`` trials of a run.
 
@@ -264,40 +243,19 @@ def prepare_batch(
     the initialized batch, its stacked protocol states, and the generator for
     the lock-step dynamics stream.
 
-    With a batch-capable initializer and a declarative population layout
-    (``num_sources`` sources at the canonical indices), the whole initial
-    batch is built with vectorized draws (one stream for initialization,
-    one for the lock-step dynamics). Otherwise initial configurations are
-    built per trial, each on its own spawned stream, and stacked. One protocol
-    instance serves the whole batch — valid because protocol instances hold
-    round configuration only, with all per-agent state in the state dict
-    (the :class:`~repro.core.protocol.Protocol` contract).
+    ``population`` is the layout template — every trial of a condition shares
+    its source structure, only the random starts differ — tiled into
+    ``trials`` rows. One stream initializes the whole batch (one
+    ``init_state_batch`` and one ``apply_batch`` call), the other drives the
+    lock-step dynamics. One protocol instance serves the whole batch — valid
+    because protocol instances hold round configuration only, with all
+    per-agent state in the state dict (the
+    :class:`~repro.core.protocol.Protocol` contract).
     """
-    if initializer.supports_batch and population_factory is None:
-        init_rng, batch_rng = spawn_rngs(seed, 2)
-        template = make_population(n, correct_opinion, num_sources=num_sources)
-        batch = BatchedPopulation.from_population(template, trials)
-        batch_states = protocol.init_state_batch(trials, n, init_rng)
-        initializer.apply_batch(batch, protocol, batch_states, init_rng)
-    else:
-        rngs = spawn_rngs(seed, trials + 1)
-        batch_rng = rngs[-1]
-        template = None
-        populations: list[PopulationState] = []
-        states = []
-        for rng in rngs[:trials]:
-            if population_factory is not None:
-                population = population_factory()
-            else:
-                if template is None:
-                    template = make_population(n, correct_opinion, num_sources=num_sources)
-                population = template.copy()
-            state = protocol.init_state(population.n, rng)
-            initializer(population, protocol, state, rng)
-            populations.append(population)
-            states.append(state)
-        batch = BatchedPopulation.from_populations(populations)
-        batch_states = stack_states(states)
+    init_rng, batch_rng = spawn_rngs(seed, 2)
+    batch = BatchedPopulation.from_population(population, trials)
+    batch_states = protocol.init_state_batch(trials, population.n, init_rng)
+    initializer.apply_batch(batch, protocol, batch_states, init_rng)
     return batch, batch_states, batch_rng
 
 
@@ -307,7 +265,6 @@ def make_batched_engine(
     protocol: Protocol | None = None,
     initializer: Initializer | None = None,
     batched_sampler: BatchedSampler | None = None,
-    population_factory: Callable[[], PopulationState] | None = None,
 ) -> BatchedEngine:
     """A fully prepared lock-step engine for ``spec`` — the core behind
     :meth:`RunSpec.batched_engine`.
@@ -323,17 +280,8 @@ def make_batched_engine(
         initializer = spec.build_initializer()
     if batched_sampler is None:
         batched_sampler = spec.samplers()[1]
-    if population_factory is None and spec.population is not None:
-        population_factory = spec.population_factory()
     batch, states, rng = prepare_batch(
-        protocol,
-        spec.n,
-        initializer,
-        trials=spec.trials,
-        seed=spec.seed,
-        correct_opinion=spec.correct_opinion,
-        num_sources=spec.num_sources,
-        population_factory=population_factory,
+        protocol, spec.build_population(), initializer, trials=spec.trials, seed=spec.seed
     )
     return BatchedEngine(protocol, batch, sampler=batched_sampler, rng=rng, states=states)
 

@@ -15,15 +15,11 @@ Theorem 1's upper-bound scale.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from ..core.batch import run_protocol
-from ..core.population import make_population
-from ..core.rng import derive_rng
-from ..initializers.adversarial import TwoRoundTarget
-from ..protocols.fet import FETProtocol
+from ..config import RunSpec, derive_seed
 
 __all__ = ["WorstCaseResult", "search_worst_start"]
 
@@ -50,19 +46,21 @@ def _score(
     budget: int,
     seed: int,
 ) -> tuple[float, int, bool]:
-    """Mean/max convergence time of FET from the given pair (seeded)."""
-    times = []
-    converged_all = True
-    for r in range(runs):
-        rng = derive_rng(seed, int(x_prev * 1000), int(x_now * 1000), r)
-        protocol = FETProtocol(ell)
-        population = make_population(n, 1)
-        state = protocol.init_state(n, rng)
-        TwoRoundTarget(x_prev, x_now)(population, protocol, state, rng)
-        result = run_protocol(protocol, population, budget, rng=rng, state=state)
-        converged_all &= result.converged
-        times.append(result.rounds)
-    return float(np.mean(times)), int(max(times)), converged_all
+    """Mean/max convergence time of FET from the given pair (seeded).
+
+    The ``runs`` trials run as one lock-step batch; each candidate's stream
+    is derived from ``seed`` and its spec, so candidates draw independently.
+    """
+    spec = RunSpec(
+        protocol={"name": "fet", "ell": ell},
+        n=n,
+        initializer={"name": "two-round", "x_prev": x_prev, "x_now": x_now},
+        trials=runs,
+        max_rounds=budget,
+    )
+    spec = replace(spec, seed=derive_seed(seed, spec.spec_dict()))
+    result = spec.batched_engine().run(budget, stability_rounds=spec.stability_rounds)
+    return float(np.mean(result.rounds)), int(result.rounds.max()), bool(result.converged.all())
 
 
 def search_worst_start(

@@ -5,11 +5,11 @@ analysis, plus the impossibility construction of Section 1.2. All of them
 control both opinions and internal protocol state (the full power the
 self-stabilizing adversary has).
 
-Like the standard classes, the crafted constructions support *batched*
-application (``supports_batch`` / ``apply_batch``): one vectorized call
-installs every replica of a :class:`~repro.core.batch.BatchedPopulation`,
-so adversarial sweep cells run the batched fast path end to end instead of
-falling back to per-trial setup.
+Like the standard classes, the crafted constructions override
+``apply_batch``: one vectorized call installs every replica of a
+:class:`~repro.core.batch.BatchedPopulation`, so adversarial sweep cells
+run the batched fast path end to end instead of the generic per-replica
+fallback.
 """
 
 from __future__ import annotations
@@ -59,8 +59,6 @@ class TwoRoundTarget(Initializer):
     experiments drop the chain into any domain of Figure 1a directly.
     """
 
-    supports_batch = True
-
     def __init__(self, x_prev: float, x_now: float) -> None:
         for label, v in (("x_prev", x_prev), ("x_now", x_now)):
             if not 0.0 <= v <= 1.0:
@@ -105,7 +103,6 @@ class ZeroSpeedCenter(Initializer):
     """
 
     name = "zero-speed-center"
-    supports_batch = True
 
     def __init__(self) -> None:
         self._inner = TwoRoundTarget(0.5, 0.5)
@@ -130,7 +127,6 @@ class PoisonedCounters(Initializer):
     """
 
     name = "poisoned-counters"
-    supports_batch = True
 
     def apply(self, population, protocol, state, rng) -> None:
         wrong = 1 - population.correct_opinion
@@ -169,8 +165,6 @@ class FrozenUnanimity(Initializer):
     Must be used with ``pin_each_round=False`` populations (the majority
     variant); the initializer asserts this to prevent silent misuse.
     """
-
-    supports_batch = True
 
     def __init__(self, opinion: int = 1) -> None:
         if opinion not in (0, 1):

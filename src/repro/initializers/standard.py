@@ -8,11 +8,11 @@ classes; the crafted worst-case constructions live in
 
 Every initializer is a callable ``(population, protocol, state, rng) -> None``
 mutating its arguments in place; :class:`Initializer` provides the naming
-plumbing used by benchmark tables. The standard classes additionally support
-*batched* application (``supports_batch`` / :meth:`Initializer.apply_batch`):
-one call initializes every replica of a
-:class:`~repro.core.batch.BatchedPopulation` with vectorized draws, which
-keeps many-trial setup off the per-trial Python path.
+plumbing used by benchmark tables. Runs initialize whole batches through
+:meth:`Initializer.apply_batch`: the shipped classes override it so one call
+initializes every replica of a :class:`~repro.core.batch.BatchedPopulation`
+with vectorized draws, and the base implementation is a generic per-replica
+fallback over the scalar :meth:`Initializer.apply`.
 """
 
 from __future__ import annotations
@@ -44,10 +44,6 @@ class Initializer(ABC):
     """Base class: installs opinions and/or protocol state in place."""
 
     name: str = "initializer"
-    #: ``True`` when :meth:`apply_batch` installs every replica of a batch in
-    #: one vectorized call; harnesses fall back to per-replica :meth:`apply`
-    #: otherwise.
-    supports_batch: bool = False
     #: ``True`` when :meth:`apply_counts` can express the initial distribution
     #: at the count level (exchangeable over non-source agents). Crafted
     #: per-agent constructions stay ``False`` and are rejected by the counts
@@ -74,9 +70,24 @@ class Initializer(ABC):
         """Install the initial configuration into every replica at once.
 
         ``states`` holds the protocol's batched state (leading replica axis).
-        Only available when ``supports_batch`` is ``True``.
+        The default implementation is a generic per-replica fallback that
+        runs the scalar :meth:`apply` on each row in turn — correct for every
+        initializer, but it keeps the per-replica Python cost. Vectorized
+        overrides draw every replica at once.
         """
-        raise NotImplementedError(f"{type(self).__name__} does not support batched application")
+        opinions = np.empty_like(batch.opinions)
+        for r in range(batch.replicas):
+            replica = batch.replica(r)
+            replica_state = {key: value[r] for key, value in states.items()}
+            self.apply(replica, protocol, replica_state, rng)
+            opinions[r] = replica.opinions
+            # Scalar initializers rebind state entries (``state.update``);
+            # fold the results back into the batched arrays.
+            for key in states:
+                states[key][r] = replica_state[key]
+        # Each row is already the scalar rule's final configuration, sources
+        # included, so the rows are installed as they are.
+        batch.adversarial_opinions(opinions, pin_sources=False, validate=False)
 
     def apply_counts(
         self,
@@ -132,7 +143,6 @@ class AllWrong(Initializer):
     """
 
     name = "all-wrong"
-    supports_batch = True
     supports_counts = True
 
     def apply(self, population, protocol, state, rng) -> None:
@@ -164,7 +174,6 @@ class AllCorrect(Initializer):
     """Every agent starts on the correct opinion (stability check)."""
 
     name = "all-correct"
-    supports_batch = True
     supports_counts = True
 
     def apply(self, population, protocol, state, rng) -> None:
@@ -195,7 +204,6 @@ class BernoulliRandom(Initializer):
             raise ValueError(f"p must be in [0, 1], got {p}")
         self.p = p
         self.name = f"bernoulli(p={p})"
-        self.supports_batch = True
         self.supports_counts = True
 
     def apply(self, population, protocol, state, rng) -> None:
@@ -234,7 +242,6 @@ class ExactFraction(Initializer):
             raise ValueError(f"x must be in [0, 1], got {x}")
         self.x = x
         self.name = f"fraction(x={x})"
-        self.supports_batch = True
         self.supports_counts = True
 
     def apply(self, population, protocol, state, rng) -> None:
@@ -286,7 +293,6 @@ class RandomizeProtocolState(Initializer):
     """Leave opinions untouched; randomize only the internal protocol state."""
 
     name = "randomize-state"
-    supports_batch = True
     supports_counts = True
 
     def apply(self, population, protocol, state, rng) -> None:

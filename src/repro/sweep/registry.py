@@ -13,12 +13,12 @@ process runs the cell. Three component kinds are registered:
 * **samplers** — observation models, registered by their batched builder
   (:func:`build_samplers` pairs it with its ``scalar()`` side), so declaring
   a sampler always yields the observation model both engines consume;
-* **populations** — population layouts (:func:`build_population`):
-  ``standard`` is the default source-pinned layout every run spec builds
-  natively (declaring it changes nothing), ``majority`` the
+* **populations** — population layouts (:func:`build_population`), the
+  template every trial's batch row is tiled from: ``standard`` is the
+  default source-pinned layout (a run spec normalizes the explicit
+  ``{"name": "standard"}`` to no component), ``majority`` the
   Section-1.2 majority variant (``k0``/``k1`` sources with opposing
-  preferences, sources unpinned), previously reachable only by
-  hand-building populations in benchmark code.
+  preferences, sources unpinned).
 
 Sample-size parameters: protocols taking ℓ accept an explicit ``ell`` or
 derive the paper's ``ℓ = ⌈c·ln n⌉`` from the cell's population size, with
@@ -73,7 +73,6 @@ __all__ = [
     "build_samplers",
     "component_catalog",
     "initializer_names",
-    "population_factory",
     "population_names",
     "protocol_factory",
     "protocol_names",
@@ -137,10 +136,8 @@ _INITIALIZERS: dict[str, tuple[Callable[[dict], Initializer], set[str]]] = {
 }
 
 #: name -> (builder(params, n, num_sources, correct_opinion) -> PopulationState,
-#:          allowed parameter names). ``standard`` is what every run spec
-#:          builds natively when no population component is declared — it is
-#:          registered so specs can say so explicitly, and resolution treats
-#:          it as "no override" to keep the vectorized batch-init fast path.
+#:          allowed parameter names). ``standard`` is the layout every run
+#:          spec builds when no population component is declared.
 _POPULATIONS: dict[
     str,
     tuple[Callable[[dict, int, int, int], PopulationState], set[str]],
@@ -278,31 +275,6 @@ def build_population(
     return builder(_params(spec, "population", allowed), n, num_sources, correct_opinion)
 
 
-def population_factory(
-    spec: dict, n: int, *, num_sources: int = 1, correct_opinion: int = 1
-) -> Callable[[], PopulationState] | None:
-    """Zero-argument factory building a fresh population per call.
-
-    Returns ``None`` for the ``standard`` layout — it is precisely what the
-    engines build natively from the shape fields, and resolving it to "no
-    override" keeps the vectorized batch-initialization and counts fast
-    paths available. Parameter errors surface immediately (the first
-    instantiation happens in the creator), before any worker is spawned.
-    """
-    name = spec.get("name")
-    if name not in _POPULATIONS:
-        raise ValueError(
-            f"unknown population {name!r}; known populations: {population_names()}"
-        )
-    _params(spec, "population", _POPULATIONS[name][1])
-    if name == "standard":
-        return None
-    build_population(spec, n, num_sources=num_sources, correct_opinion=correct_opinion)
-    return lambda: build_population(
-        spec, n, num_sources=num_sources, correct_opinion=correct_opinion
-    )
-
-
 def build_samplers(spec: dict) -> tuple[Callable[[], Sampler], BatchedSampler]:
     """The paired (scalar factory, batched sampler) for an observation spec.
 
@@ -362,9 +334,9 @@ def validate_cell(cell) -> None:
                     "counts engine needs an exchangeable count-level "
                     "initializer"
                 )
-            if population is not None and population.get("name") != "standard":
+            if population is not None:
                 raise ValueError(
-                    f"population {population.get('name')!r} is a crafted "
+                    f"population {population['name']!r} is a crafted "
                     "per-agent layout; the counts engine only models the "
                     "standard source-pinned population"
                 )

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import copy
 import functools
 
 import numpy as np
@@ -11,6 +12,7 @@ from repro.core.population import make_population
 from repro.core.protocol import Protocol
 from repro.core.rng import make_rng
 from repro.core.sampling import BinomialCountSampler, Sampler
+from repro.initializers.standard import Initializer
 
 
 class ScriptedCountSampler(Sampler):
@@ -52,41 +54,50 @@ def scripted_sampler(*vectors) -> ScriptedCountSampler:
 def scalar_reference(factory):
     """Wrap a protocol factory so every built protocol steps through the
     generic per-replica ``Protocol.step_batch`` fallback — the scalar rule,
-    one replica at a time. The reference side of every vectorized-vs-scalar
-    equivalence test."""
+    one replica at a time — and draws its clean state through the generic
+    ``Protocol.init_state_batch`` (stacked scalar ``init_state`` draws). The
+    reference side of every vectorized-vs-scalar equivalence test."""
 
     def build():
         protocol = factory()
         protocol.step_batch = functools.partial(Protocol.step_batch, protocol)
+        protocol.init_state_batch = functools.partial(Protocol.init_state_batch, protocol)
         return protocol
 
     return build
 
 
-def run_scalar_reference(factory, n, initializer, *, correct_opinion=1, **kwargs):
-    """``run_trials`` on the scalar reference: the scalar rule through the
-    generic ``Protocol.step_batch`` fallback, and every start built per trial
-    by the scalar ``init_state`` and ``Initializer.apply`` (a
-    ``population_factory`` sends ``prepare_batch`` down its per-trial
-    branch). Compare against the default run, which builds the whole batch
-    with ``init_state_batch`` and ``apply_batch``."""
+def scalar_start(initializer):
+    """A copy of ``initializer`` that installs every replica's start through
+    the generic per-replica ``Initializer.apply_batch`` fallback — the scalar
+    ``apply``, one row at a time."""
+    reference = copy.copy(initializer)
+    reference.apply_batch = functools.partial(Initializer.apply_batch, reference)
+    return reference
+
+
+def run_scalar_reference(factory, n, initializer, **kwargs):
+    """``run_trials`` on the scalar reference: the scalar rule and the scalar
+    starts (``init_state`` + ``Initializer.apply``) through the generic batch
+    fallbacks. Compare against the default run, which builds the whole batch
+    with the vectorized ``init_state_batch`` and ``apply_batch``."""
     from repro.experiments.harness import run_trials
 
     return run_trials(
-        scalar_reference(factory), n, initializer, correct_opinion=correct_opinion,
-        population_factory=lambda: make_population(n, correct_opinion), engine="batched",
-        **kwargs,
+        scalar_reference(factory), n, scalar_start(initializer), engine="batched", **kwargs
     )
 
 
 def patch_scalar_reference(patch, initializer_cls) -> None:
     """Put sweep-level FET cells on the scalar reference: FET's scalar rule
-    through the generic ``Protocol.step_batch`` fallback, and the per-trial
-    scalar start of ``initializer_cls`` in place of its ``apply_batch``."""
+    and clean state through the generic ``Protocol`` batch fallbacks, and the
+    scalar start of ``initializer_cls`` through the generic
+    ``Initializer.apply_batch`` in place of its vectorized override."""
     from repro.protocols.fet import FETProtocol
 
     patch.setattr(FETProtocol, "step_batch", Protocol.step_batch)
-    patch.setattr(initializer_cls, "supports_batch", False)
+    patch.setattr(FETProtocol, "init_state_batch", Protocol.init_state_batch)
+    patch.setattr(initializer_cls, "apply_batch", Initializer.apply_batch)
 
 
 def step_scalar(protocol, population, state, rng, sampler=None) -> None:

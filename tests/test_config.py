@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 from scipy import stats as scipy_stats
 
-from conftest import patch_scalar_reference, scalar_reference
+from conftest import patch_scalar_reference, scalar_reference, scalar_start
 from repro.config import RUN_SCHEMA, RunSpec, canonical_json, derive_seed
 from repro.core.noise import BatchedNoisyCountSampler, NoisyCountSampler
 from repro.core.population import make_population
@@ -173,10 +173,10 @@ class TestRunSpecExecution:
         stats = spec.execute()
         assert stats.engine == "batched"
         # reference: the scalar rule observing through the scalar IndexSampler,
-        # every start built per trial by the scalar init path
+        # every start built by the scalar init path
         ref = spec.execute(
             protocol_factory=scalar_reference(spec.protocol_factory()),
-            population_factory=lambda: make_population(spec.n, spec.correct_opinion),
+            initializer=scalar_start(spec.build_initializer()),
         )
         assert stats.successes == ref.successes == 2
         explicit = demo_spec(sampler={"name": "index"}, trials=2, n=60, engine="batched")
@@ -487,15 +487,14 @@ class TestMultisourceMigration:
         n, ell, counts = 200, 15, [1, 25]
         rows = sweep_sources(n, ell, counts, trials=10, max_rounds=500, seed=0)
         manual = [
-            run_trials(
-                lambda: FETProtocol(ell),
-                n,
-                AllWrong(),
+            RunSpec(
+                protocol={"name": "fet", "ell": ell},
+                n=n,
                 trials=10,
                 max_rounds=500,
+                num_sources=k,
                 seed=100 + index,
-                population_factory=lambda k=k: make_population(n, 1, num_sources=k),
-            )
+            ).execute()
             for index, k in enumerate(counts)
         ]
         for row, stats in zip(rows, manual):
@@ -618,8 +617,8 @@ class TestCellValidationConflicts:
 
 
 class TestRunSchema:
-    def test_schema_is_two(self):
-        assert RUN_SCHEMA == 2
+    def test_schema_is_three(self):
+        assert RUN_SCHEMA == 3
 
     def test_schema_one_record_is_a_miss_and_recomputed(self, tmp_path, monkeypatch):
         import repro.config as config_module
@@ -645,6 +644,51 @@ class TestRunSchema:
         assert not result.cached
         assert result.payload["engine"] == "batched"
         assert sorted(store.keys()) == sorted([stale_key, cell.key()])
+
+    def test_schema_two_record_is_a_miss_and_recomputed(self, tmp_path, monkeypatch):
+        import repro.config as config_module
+
+        spec = SweepSpec(
+            axes={
+                "protocol": [{"name": "fet", "ell": 8}],
+                "n": [64],
+                "initializer": ["bernoulli"],
+                "population": [{"name": "majority", "k0": 3, "k1": 2}],
+                "correct_opinion": [0],
+            },
+            trials=3,
+            max_rounds=100,
+        )
+        cell = spec.expand()[0]
+        with monkeypatch.context() as patch:
+            patch.setattr(config_module, "RUN_SCHEMA", 2)
+            stale_key = cell.key()
+        assert stale_key != cell.key()
+        store = ResultsStore(tmp_path / "store.jsonl")
+        # what a schema-2 run stored for this crafted-population cell: starts
+        # drawn per trial on spawned streams
+        stale_payload = {
+            "measure": "consensus", "protocol": "fet", "initializer": "bernoulli(p=0.5)",
+            "successes": 99, "times": [], "engine": "batched",
+        }
+        store.put(stale_key, {"cell": cell.to_dict(), "payload": stale_payload})
+        result = run_sweep(spec, store=store).results[0]
+        assert not result.cached
+        assert result.payload["successes"] <= 3
+        assert sorted(store.keys()) == sorted([stale_key, cell.key()])
+
+    def test_standard_population_spellings_share_one_key(self):
+        plain = demo_spec()
+        explicit = demo_spec(population={"name": "standard"})
+        assert explicit.population is None
+        assert explicit.key() == plain.key()
+        axes = {"protocol": [{"name": "fet", "ell": 10}], "n": [60]}
+        cells = [
+            SweepSpec(axes={**axes, **extra}, trials=2, max_rounds=50).expand()[0]
+            for extra in ({}, {"population": [{"name": "standard"}]})
+        ]
+        assert cells[0].seed == cells[1].seed
+        assert cells[0].key() == cells[1].key()
 
 
 class TestSequentialEngineRemoved:

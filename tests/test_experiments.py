@@ -5,7 +5,6 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.core.population import make_population
 from repro.experiments.convergence import (
     fit_scaling,
     sweep_population_sizes,
@@ -73,7 +72,7 @@ class TestRunTrials:
         )
         assert len(stats.results) == 3
 
-    def test_custom_population_factory(self):
+    def test_correct_opinion_zero(self):
         stats = run_trials(
             lambda: FETProtocol(30),
             300,
@@ -81,7 +80,7 @@ class TestRunTrials:
             trials=2,
             max_rounds=500,
             seed=4,
-            population_factory=lambda: make_population(300, 0),
+            correct_opinion=0,
         )
         assert stats.successes == 2
 

@@ -9,7 +9,9 @@ from conftest import run_scalar_reference
 from repro.core.batch import BatchedPopulation, run_protocol
 from repro.core.population import make_majority_population, make_population
 from repro.core.rng import make_rng
-from repro.experiments.harness import run_trials
+from repro.config import RunSpec
+from repro.core.rng import spawn_rngs
+from repro.experiments.harness import prepare_batch, run_trials
 from repro.initializers.adversarial import (
     FrozenUnanimity,
     PoisonedCounters,
@@ -21,6 +23,7 @@ from repro.initializers.standard import (
     AllWrong,
     BernoulliRandom,
     ExactFraction,
+    Initializer,
     RandomizeProtocolState,
 )
 from repro.protocols.fet import FETProtocol
@@ -208,9 +211,9 @@ class TestAdversarialBatched:
         states = proto.init_state_batch(replicas, n, rng)
         return proto, batch, states, rng
 
-    def test_all_support_batch(self):
+    def test_all_override_apply_batch(self):
         for init in (TwoRoundTarget(0.3, 0.7), ZeroSpeedCenter(), PoisonedCounters(), FrozenUnanimity()):
-            assert init.supports_batch
+            assert type(init).apply_batch is not Initializer.apply_batch
 
     def test_two_round_target_rows(self):
         proto, batch, states, rng = self.batch()
@@ -288,3 +291,73 @@ class TestAdversarialBatched:
             ref = run_scalar_reference(lambda: FETProtocol(30), 300, init, **kwargs)
             bat = run_trials(lambda: FETProtocol(30), 300, init, engine="batched", **kwargs)
             assert ref.successes == bat.successes == 5
+
+
+class TestCraftedPopulationRun:
+    """A declared crafted layout runs as one tiled lock-step batch."""
+
+    SPEC = RunSpec(
+        protocol={"name": "fet", "ell": 8},
+        n=64,
+        initializer={"name": "frozen-unanimity"},
+        trials=4,
+        max_rounds=200,
+        correct_opinion=0,
+        population={"name": "majority", "k0": 3, "k1": 2},
+        seed=5,
+    )
+
+    def test_frozen_unanimity_never_converges(self):
+        stats = self.SPEC.execute()
+        assert stats.engine == "batched"
+        assert stats.trials == 4 and stats.successes == 0
+
+    def test_sources_are_not_repinned(self):
+        engine = self.SPEC.batched_engine()
+        assert engine.batch.pin_each_round is False
+        sources = engine.batch.source_mask
+        assert sources.sum() == 5
+        # three sources prefer 0, yet every row displays the frozen 1 throughout
+        assert (engine.batch.opinions[:, sources] == 1).all()
+        result = engine.run(self.SPEC.max_rounds)
+        assert not result.converged.any()
+        assert (result.final_fractions == 1.0).all()
+        assert (engine.batch.opinions[:, sources] == 1).all()
+
+
+class ScalarOnly(Initializer):
+    """A third-party initializer: defines the scalar ``apply`` only."""
+
+    name = "scalar-only"
+
+    def apply(self, population, protocol, state, rng) -> None:
+        opinions = (rng.random(population.n) < 0.3).astype(np.uint8)
+        population.adversarial_opinions(opinions, validate=False)
+        state.update(protocol.randomize_state(population.n, rng))
+
+
+class TestGenericApplyBatch:
+    """The base ``Initializer.apply_batch`` runs the scalar rule row by row."""
+
+    def test_runs_through_execute(self):
+        spec = RunSpec(protocol={"name": "fet", "ell": 12}, n=120, trials=5, max_rounds=800)
+        stats = spec.execute(initializer=ScalarOnly())
+        assert stats.engine == "batched"
+        assert stats.initializer_name == "scalar-only"
+        assert stats.successes == 5
+
+    def test_rows_match_scalar_apply_on_the_same_stream(self):
+        n, replicas, seed = 50, 4, 11
+        proto = FETProtocol(9)
+        template = make_population(n, 1, num_sources=2)
+        batch, states, _ = prepare_batch(proto, template, ScalarOnly(), trials=replicas, seed=seed)
+        init_rng, _ = spawn_rngs(seed, 2)
+        clean = proto.init_state_batch(replicas, n, init_rng)
+        for r in range(replicas):
+            population = template.copy()
+            state = {key: value[r].copy() for key, value in clean.items()}
+            ScalarOnly().apply(population, proto, state, init_rng)
+            np.testing.assert_array_equal(batch.opinions[r], population.opinions)
+            for key in state:
+                np.testing.assert_array_equal(states[key][r], state[key])
+        assert (batch.opinions[:, :2] == 1).all()  # sources pinned by the scalar rule
